@@ -16,12 +16,15 @@ All agree exactly; the test suite exercises that on full symmetric groups.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 from typing import Iterator
 
 from .chains import (
+    LabeledChain,
     chain_monomial,
     count_by_type,
     increasing_chains,
@@ -29,17 +32,17 @@ from .chains import (
 )
 from .perms import (
     Perm,
-    as_perm,
     bruhat_covers,
     bruhat_leq,
     compose,
-    embed,
+    embed_all,
     longest,
     perm_from_code,
     perm_to_str,
 )
 from .poly import (
     Poly,
+    check_composition,
     divides_staircase,
     monomial_key,
     normal_form,
@@ -77,6 +80,9 @@ class SchubertExpansion:
             if len(w) != self.n:
                 raise ValueError(f"{w} does not lie in S_{self.n}")
 
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self.terms.items())))
+
     def __getitem__(self, w: Perm) -> int:
         return self.terms.get(tuple(w), 0)
 
@@ -98,9 +104,12 @@ class SchubertExpansion:
                                                      key=lambda wc: perm_to_str(wc[0]))}
 
 
-# The cache is only ever written with fully computed values, so concurrent
-# duplicate computation is harmless.
-_SCHUBERT_CACHE: dict[tuple[Perm, int, str], Poly] = {}
+def _chain_sum(chains: Iterable[LabeledChain], n: int) -> Poly:
+    """The sum of x^delta / x^gamma over the chains, gamma the chain's type."""
+    delta = range(n - 1, -1, -1)
+    return Poly(Counter(
+        tuple(d - a for d, a in zip(delta, chain_monomial(c))) for c in chains
+    ))
 
 
 def schubert(w: Sequence[int], n: int | None = None, method: str = "chain") -> Poly:
@@ -110,38 +119,17 @@ def schubert(w: Sequence[int], n: int | None = None, method: str = "chain") -> P
     * ``chain``: sum of x^delta / x^gamma over increasing chains w -> w0;
     * ``rcgraph``: sum of x^R over the rc-graphs of w.
     """
-    w = as_perm(w)
-    if n is None:
-        n = len(w)
-    w = embed(w, n)
-    key = (w, n, method)
-    cached = _SCHUBERT_CACHE.get(key)
-    if cached is not None:
-        return cached
+    (w,), n = embed_all([w], n)
+    return _schubert(w, n, method)
+
+
+@lru_cache(maxsize=4096)
+def _schubert(w: Perm, n: int, method: str) -> Poly:
     if method == "chain":
-        delta = tuple(range(n - 1, -1, -1))
-        terms: dict[tuple[int, ...], int] = {}
-        for chain in increasing_chains_to_w0(w):
-            t = chain_monomial(chain)
-            m = _trimmed(tuple(d - a for d, a in zip(delta, t)))
-            terms[m] = terms.get(m, 0) + 1
-        result = Poly(terms)
-    elif method == "rcgraph":
-        terms = {}
-        for graph in enumerate_rcgraphs(w):
-            m = _trimmed(rc_monomial(graph))
-            terms[m] = terms.get(m, 0) + 1
-        result = Poly(terms)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    _SCHUBERT_CACHE[key] = result
-    return result
-
-
-def _trimmed(e: tuple[int, ...]) -> tuple[int, ...]:
-    while e and e[-1] == 0:
-        e = e[:-1]
-    return e
+        return _chain_sum(increasing_chains_to_w0(w), n)
+    if method == "rcgraph":
+        return Poly(Counter(rc_monomial(g) for g in enumerate_rcgraphs(w)))
+    raise ValueError(f"unknown method {method!r}")
 
 
 def skew(
@@ -154,32 +142,19 @@ def skew(
     The skew Schubert polynomial of w over u, for u <= w in the Bruhat
     order.  Methods: ``normalform``, ``chains``, ``lr``; all agree.
     """
-    w = as_perm(w)
-    u = as_perm(u)
-    if n is None:
-        n = max(len(w), len(u))
-    w = embed(w, n)
-    u = embed(u, n)
+    (w, u), n = embed_all([w, u], n)
     if not bruhat_leq(u, w):
         raise ValueError(
             f"{perm_to_str(u)} is not below {perm_to_str(w)} in the Bruhat order"
         )
-    if method == "normalform":
-        return normal_form(schubert(u, n) * schubert(compose(longest(n), w), n), n)
     if method == "chains":
-        delta = tuple(range(n - 1, -1, -1))
-        terms: dict[tuple[int, ...], int] = {}
-        for chain in increasing_chains(u, w):
-            t = chain_monomial(chain)
-            m = _trimmed(tuple(d - a for d, a in zip(delta, t)))
-            terms[m] = terms.get(m, 0) + 1
-        return Poly(terms)
+        return _chain_sum(increasing_chains(u, w), n)
+    if method not in ("normalform", "lr"):
+        raise ValueError(f"unknown method {method!r}")
+    product = normal_form(schubert(u, n) * schubert(compose(longest(n), w), n), n)
     if method == "lr":
-        expansion = expand_in_schubert_basis(
-            normal_form(schubert(u, n) * schubert(compose(longest(n), w), n), n), n
-        )
-        return expansion.as_poly()
-    raise ValueError(f"unknown method {method!r}")
+        return expand_in_schubert_basis(product, n).as_poly()
+    return product
 
 
 def expand_in_schubert_basis(p: Poly, n: int) -> SchubertExpansion:
@@ -220,12 +195,7 @@ def lr_coefficients(
     The map w -> c^w_{u,v} from S_u * S_v = sum c^w_{u,v} S_w, complete for
     the w lying in S_n.
     """
-    u = as_perm(u)
-    v = as_perm(v)
-    if n is None:
-        n = max(len(u), len(v))
-    u = embed(u, n)
-    v = embed(v, n)
+    (u, v), n = embed_all([u, v], n)
     return expand_in_schubert_basis(normal_form(schubert(u, n) * schubert(v, n), n), n)
 
 
@@ -235,10 +205,7 @@ def pieri(u: Sequence[int], a: int, k: int, n: int | None = None) -> SchubertExp
     increasing chains from u of length a whose labels all have first
     coordinate k.
     """
-    u = as_perm(u)
-    if n is None:
-        n = len(u)
-    u = embed(u, n)
+    (u,), n = embed_all([u], n)
     if a < 0:
         raise ValueError("degree must be nonnegative")
     if not 1 <= k < n:
@@ -262,12 +229,7 @@ def psi_alpha(f: SchubertExpansion, alpha: Sequence[int], n: int) -> int:
     The coefficient of the longest-permutation class in f * h_alpha,
     computed by iterating the Pieri rule over the parts of alpha.
     """
-    alpha = tuple(alpha)
-    if len(alpha) != n - 1:
-        raise ValueError(f"composition needs {n - 1} parts, got {len(alpha)}")
-    for i, a in enumerate(alpha):
-        if a < 0 or a > n - i - 1:
-            raise ValueError(f"part alpha_{i + 1}={a} outside 0..{n - i - 1}")
+    alpha = check_composition(alpha, n)
     current: dict[Perm, int] = dict(f.terms)
     for i, a in enumerate(alpha, start=1):
         if a == 0:
@@ -307,12 +269,7 @@ def verify_corollary(
     I_alpha(u, w) == sum_v c^w_{u,v} * I_alpha(w0 v, w0),
     with the structure constants read from the skew expansion.
     """
-    u = as_perm(u)
-    w = as_perm(w)
-    if n is None:
-        n = max(len(u), len(w))
-    u = embed(u, n)
-    w = embed(w, n)
+    (u, w), n = embed_all([u, w], n)
     lhs = count_by_type(u, w, alpha)
     w0 = longest(n)
     # expansion indices z = w0 v, so w0 v runs over the indices directly

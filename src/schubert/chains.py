@@ -82,18 +82,14 @@ def check_chain(chain: LabeledChain) -> None:
 
 def chain_monomial(chain: LabeledChain) -> Composition:
     """
-    The exponent vector of x^gamma: entry i counts the labels whose first
-    coordinate is i.  Always n - 1 entries.
+    The exponent vector of x^gamma, also called the type of the chain:
+    entry i counts the labels whose first coordinate is i.  Always n - 1
+    entries.
     """
     t = [0] * (chain.n - 1)
     for k, _ in chain.labels:
         t[k - 1] += 1
     return tuple(t)
-
-
-def chain_type(chain: LabeledChain) -> Composition:
-    """The type of the chain; the same data as chain_monomial."""
-    return chain_monomial(chain)
 
 
 def increasing_chains(u: Perm, w: Perm) -> Iterator[LabeledChain]:
@@ -170,20 +166,19 @@ def increasing_chains_to_w0(w: Perm) -> Iterator[LabeledChain]:
 
 def count_by_type(u: Perm, w: Perm, alpha: Sequence[int]) -> int:
     """The number of increasing chains from u to w of the given type."""
-    alpha = _padded_type(alpha, len(u))
-    return sum(1 for c in increasing_chains(u, w) if chain_type(c) == alpha)
+    return type_counts(u, w)[_padded_type(alpha, len(u))]
 
 
 def type_counts(u: Perm, w: Perm) -> Counter:
     """Counter of chain types over all increasing chains from u to w."""
-    return Counter(chain_type(c) for c in increasing_chains(u, w))
+    return Counter(chain_monomial(c) for c in increasing_chains(u, w))
 
 
 def _padded_type(alpha: Sequence[int], n: int) -> Composition:
     alpha = tuple(alpha)
     if len(alpha) > n - 1:
         if any(alpha[n - 1:]):
-            return alpha  # can never match a real type; comparison just fails
+            return alpha  # can never match a real type, so its count is 0
         alpha = alpha[: n - 1]
     return alpha + (0,) * (n - 1 - len(alpha))
 

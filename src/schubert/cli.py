@@ -13,8 +13,8 @@ import sys
 from typing import Iterable, Sequence
 
 from .calc import lr_coefficients, schubert, skew, skew_expansion
-from .chains import chain_to_json_obj, chain_type, increasing_chains
-from .perms import Perm, embed, perm_from_str, perm_to_str
+from .chains import chain_monomial, chain_to_json_obj, increasing_chains
+from .perms import Perm, all_perms, embed_all, length, perm_from_str, perm_to_str
 from .poly import Poly, poly_to_json_obj, poly_to_text
 from .rcgraphs import enumerate_rcgraphs, render_ascii, rcgraph_to_json_obj
 from .verify import SUITES, run_suite
@@ -50,12 +50,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("normalform", "chains", "lr"),
                    default="normalform")
     p.add_argument("--expand", action="store_true",
-                   help="print the Schubert-basis expansion instead")
+                   help="print the Schubert-basis expansion instead, always "
+                        "as a JSON object")
 
     p = add_parser("lr", "Littlewood-Richardson coefficients of S_u * S_v")
-    p.add_argument("u")
-    p.add_argument("v")
+    p.add_argument("u", nargs="?")
+    p.add_argument("v", nargs="?")
     p.add_argument("--n", type=int, default=None)
+    p.add_argument("--all", action="store_true",
+                   help="every ordered pair u, v of S_n (needs --n) instead of one")
     p.add_argument("--out", default=None,
                    help="append records to this cache file instead of stdout")
 
@@ -83,11 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve(perms: Sequence[str], n: int | None) -> tuple[list[Perm], int]:
     parsed = [perm_from_str(s) for s in perms]
     size = max(len(p) for p in parsed)
-    if n is None:
-        n = size
-    if n < size:
+    if n is not None and n < size:
         raise ValueError(f"--n {n} is smaller than the permutation size {size}")
-    return [embed(p, n) for p in parsed], n
+    return embed_all(parsed, n)
 
 
 def _print_poly(p: Poly, n: int, fmt: str) -> None:
@@ -114,24 +115,41 @@ def cmd_skew(args: argparse.Namespace) -> int:
     return 0
 
 
+def _lr_pairs(args: argparse.Namespace) -> tuple[Iterable[tuple[Perm, Perm]], int]:
+    if not args.all:
+        if args.v is None:
+            raise ValueError("lr needs two permutations u v, or --all")
+        (u, v), n = _resolve([args.u, args.v], args.n)
+        return [(u, v)], n
+    if args.u is not None or args.n is None:
+        raise ValueError("lr --all takes no permutations and needs --n")
+    n = args.n
+    top = n * (n - 1) // 2
+    # a product of total degree above length(w0) is zero in H*(Fl_n)
+    return ((u, v) for u in all_perms(n) for v in all_perms(n)
+            if length(u) + length(v) <= top), n
+
+
 def cmd_lr(args: argparse.Namespace) -> int:
-    (u, v), n = _resolve([args.u, args.v], args.n)
-    expansion = lr_coefficients(u, v, n)
-    records = [
-        {"n": n, "u": perm_to_str(u), "v": perm_to_str(v),
-         "w": perm_to_str(w), "c": c}
-        for w, c in sorted(expansion.terms.items(),
-                           key=lambda wc: perm_to_str(wc[0]))
-    ]
+    pairs, n = _lr_pairs(args)
+    records = (
+        {"n": n, "u": perm_to_str(u), "v": perm_to_str(v), "w": w, "c": c}
+        for u, v in pairs
+        for w, c in lr_coefficients(u, v, n).to_json_obj().items()
+    )
     if args.out:
+        written = 0
         with open(args.out, "a", encoding="utf-8", newline="\n") as fh:
             for rec in records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        print(f"appended {len(records)} records to {args.out}", file=sys.stderr)
+                written += 1
+        print(f"appended {written} records to {args.out}", file=sys.stderr)
         return 0
     for rec in records:
         if args.format == "json":
             print(json.dumps(rec, sort_keys=True))
+        elif args.all:
+            print(f"{rec['u']} {rec['v']} {rec['w']} {rec['c']}")
         else:
             print(f"{rec['w']} {rec['c']}")
     return 0
@@ -185,7 +203,7 @@ def cmd_chains(args: argparse.Namespace) -> int:
         if len(wanted) != n - 1:
             raise ValueError(f"type needs at most {n - 1} parts")
     for chain in increasing_chains(u, w):
-        if wanted is not None and chain_type(chain) != wanted:
+        if wanted is not None and chain_monomial(chain) != wanted:
             continue
         if args.format == "json":
             print(json.dumps(chain_to_json_obj(chain)))
@@ -207,7 +225,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "failures": report.failures[:20],
             }, sort_keys=True))
         else:
-            status = "PASS" if report.passed else "FAIL"
+            status = ("FAIL" if not report.passed
+                      else "PASS" if report.checks else "SKIP")
             print(f"{report.suite}: {status} ({report.checks} checks)")
         for failure in report.failures[:20]:
             print(f"  {failure}", file=sys.stderr)

@@ -218,6 +218,24 @@ def embed(w: Perm, m: int) -> Perm:
     return w + tuple(range(len(w) + 1, m + 1))
 
 
+def embed_all(
+    ws: Sequence[Sequence[int]], n: int | None = None
+) -> tuple[list[Perm], int]:
+    """
+    Validate each permutation and embed all of them into S_n; n defaults
+    to the largest size among them.
+
+    >>> embed_all([(1, 3, 2), (2, 1)])
+    ([(1, 3, 2), (2, 1, 3)], 3)
+    >>> embed_all([(2, 1)], 4)
+    ([(2, 1, 3, 4)], 4)
+    """
+    perms = [as_perm(w) for w in ws]
+    if n is None:
+        n = max(len(w) for w in perms)
+    return [embed(w, n) for w in perms], n
+
+
 def all_perms(n: int) -> Iterator[Perm]:
     """All of S_n in lexicographic order."""
     return _itertools_permutations(range(1, n + 1))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator
 
@@ -139,6 +140,8 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {()}:  # zero or a constant: hash as the int
+            return hash(self._terms.get((), 0))
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "Poly":
@@ -241,11 +244,17 @@ def complete_h(a: int, k: int) -> Poly:
     return Poly(terms)
 
 
-def h_alpha(alpha: Iterable[int], n: int) -> Poly:
+def check_composition(alpha: Iterable[int], n: int) -> tuple[int, ...]:
     """
-    The product h_alpha = h_{alpha_1}(x_1) h_{alpha_2}(x_1, x_2) ...
-    h_{alpha_{n-1}}(x_1, ..., x_{n-1}).  The composition must have n - 1
-    parts and satisfy alpha_i <= n - i.
+    Return alpha as a tuple after checking that it has n - 1 parts with
+    0 <= alpha_i <= n - i.
+
+    >>> check_composition([2, 0, 1], 4)
+    (2, 0, 1)
+    >>> check_composition([3, 0], 3)
+    Traceback (most recent call last):
+    ...
+    ValueError: part alpha_1=3 outside 0..2
     """
     alpha = tuple(alpha)
     if len(alpha) != n - 1:
@@ -253,6 +262,16 @@ def h_alpha(alpha: Iterable[int], n: int) -> Poly:
     for i, a in enumerate(alpha):
         if a < 0 or a > n - i - 1:
             raise ValueError(f"part alpha_{i + 1}={a} outside 0..{n - i - 1}")
+    return alpha
+
+
+def h_alpha(alpha: Iterable[int], n: int) -> Poly:
+    """
+    The product h_alpha = h_{alpha_1}(x_1) h_{alpha_2}(x_1, x_2) ...
+    h_{alpha_{n-1}}(x_1, ..., x_{n-1}).  The composition must have n - 1
+    parts and satisfy alpha_i <= n - i.
+    """
+    alpha = check_composition(alpha, n)
     out = Poly.one()
     for i, a in enumerate(alpha):
         if a:
@@ -260,7 +279,8 @@ def h_alpha(alpha: Iterable[int], n: int) -> Poly:
     return out
 
 
-def _reduction_basis(n: int) -> list[tuple[int, Poly]]:
+@lru_cache(maxsize=16)
+def _reduction_basis(n: int) -> tuple[tuple[int, Poly], ...]:
     """
     For i = n..1 the rewrite x_i^{n-i+1} == -(h_{n-i+1}(x_1..x_i) minus its
     lead term).  The lead terms are pairwise coprime pure powers, so the
@@ -273,10 +293,7 @@ def _reduction_basis(n: int) -> list[tuple[int, Poly]]:
         lead = (0,) * (i - 1) + (n - i + 1,)
         tail = g - Poly.monomial(lead)
         basis.append((i, -tail))
-    return basis
-
-
-_BASIS_CACHE: dict[int, list[tuple[int, Poly]]] = {}
+    return tuple(basis)  # cached and shared, so immutable
 
 
 def normal_form(p: Poly, n: int) -> Poly:
@@ -286,9 +303,7 @@ def normal_form(p: Poly, n: int) -> Poly:
     """
     if p.nvars() > n:
         raise ValueError(f"polynomial uses more than {n} variables")
-    if n not in _BASIS_CACHE:
-        _BASIS_CACHE[n] = _reduction_basis(n)
-    basis = _BASIS_CACHE[n]
+    basis = _reduction_basis(n)
 
     work = dict(p.items())
     done: dict[Exponents, int] = {}

@@ -6,6 +6,7 @@ These back the ``verify`` CLI subcommand.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from collections import Counter
@@ -24,9 +25,6 @@ from .chains import chain_monomial, increasing_chains_to_w0, type_counts
 from .perms import Perm, all_perms, bruhat_leq, length, longest, perm_to_str
 from .poly import Poly, complete_h, normal_form
 from .rcgraphs import chain_of_rcgraph, enumerate_rcgraphs, monomial, rcgraph_of_chain
-
-SUITES = ("bijection", "routes", "corollary", "pieri", "stability")
-
 
 @dataclass
 class Report:
@@ -47,17 +45,14 @@ class Report:
 
 
 def run_suite(suite: str, n: int = 4, seed: int = 0) -> Report:
-    if suite == "bijection":
-        return suite_bijection(n, seed)
-    if suite == "routes":
-        return suite_routes(n, seed)
-    if suite == "corollary":
-        return suite_corollary(n, seed)
-    if suite == "pieri":
-        return suite_pieri(n, seed)
-    if suite == "stability":
-        return suite_stability(n, seed)
-    raise ValueError(f"unknown suite {suite!r}")
+    if suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    return _SUITES[suite](n, seed)
+
+
+def _comparable_pairs(n: int) -> list[tuple[Perm, Perm]]:
+    """All (u, w) in S_n with u <= w in the Bruhat order."""
+    return [(u, w) for u in all_perms(n) for w in all_perms(n) if bruhat_leq(u, w)]
 
 
 def suite_bijection(n: int, seed: int = 0) -> Report:
@@ -93,12 +88,7 @@ def suite_routes(n: int, seed: int = 0, samples: int = 100) -> Report:
     """The three skew routes agree; exhaustive for n <= 4, sampled above."""
     rep = Report("routes", n, seed)
     if n <= 4:
-        pairs = [
-            (u, w)
-            for u in all_perms(n)
-            for w in all_perms(n)
-            if bruhat_leq(u, w)
-        ]
+        pairs = _comparable_pairs(n)
     else:
         rng = random.Random(seed)
         perms = list(all_perms(n))
@@ -122,19 +112,16 @@ def suite_corollary(n: int, seed: int = 0) -> Report:
     rep = Report("corollary", n, seed)
     w0 = longest(n)
     to_w0: dict[Perm, Counter] = {}
-    for u in all_perms(n):
-        for w in all_perms(n):
-            if not bruhat_leq(u, w):
-                continue
-            lhs = type_counts(u, w)
-            rhs: Counter = Counter()
-            for z, c in skew_expansion(w, u, n).terms.items():
-                if z not in to_w0:
-                    to_w0[z] = type_counts(z, w0)
-                for alpha, cnt in to_w0[z].items():
-                    rhs[alpha] += c * cnt
-            rep.note(lhs == rhs,
-                     f"type counts differ for ({perm_to_str(u)}, {perm_to_str(w)})")
+    for u, w in _comparable_pairs(n):
+        lhs = type_counts(u, w)
+        rhs: Counter = Counter()
+        for z, c in skew_expansion(w, u, n).terms.items():
+            if z not in to_w0:
+                to_w0[z] = type_counts(z, w0)
+            for alpha, cnt in to_w0[z].items():
+                rhs[alpha] += c * cnt
+        rep.note(lhs == rhs,
+                 f"type counts differ for ({perm_to_str(u)}, {perm_to_str(w)})")
     return rep
 
 
@@ -151,24 +138,13 @@ def suite_pieri(n: int, seed: int = 0, max_a: int = 3, max_k: int = 3) -> Report
                          f"pieri({perm_to_str(u)}, a={a}, k={k}) mismatch")
     exp_one = {w: expand_in_schubert_basis(schubert(w, n), n) for w in all_perms(n)}
     for w, f in exp_one.items():
-        for alpha in _staircase_compositions(n):
+        # all alpha with 0 <= alpha_i <= n - i, in lexicographic order
+        for alpha in itertools.product(*(range(n - i + 1) for i in range(1, n))):
             lhs = psi_alpha(f, alpha, n)
             rhs = psi_alpha_normal_form(f, alpha, n)
             rep.note(lhs == rhs,
                      f"psi_{alpha}(S_{perm_to_str(w)}): {lhs} != {rhs}")
     return rep
-
-
-def _staircase_compositions(n: int):
-    """All alpha with 0 <= alpha_i <= n - i."""
-    def rec(i):
-        if i == n:
-            yield ()
-            return
-        for a in range(n - i + 1):
-            for rest in rec(i + 1):
-                yield (a,) + rest
-    return rec(1)
 
 
 def suite_stability(n: int, seed: int = 0) -> Report:
@@ -178,12 +154,7 @@ def suite_stability(n: int, seed: int = 0) -> Report:
     """
     rep = Report("stability", n, seed)
     base = 3
-    pairs = [
-        (u, w)
-        for u in all_perms(base)
-        for w in all_perms(base)
-        if bruhat_leq(u, w)
-    ]
+    pairs = _comparable_pairs(base)
     for m in range(base, n + 1):
         shift = Poly.monomial((1,) * m)
         for u, w in pairs:
@@ -192,6 +163,16 @@ def suite_stability(n: int, seed: int = 0) -> Report:
             rep.note(small * shift == big,
                      f"stability fails for ({perm_to_str(u)}, {perm_to_str(w)}) at {m}")
     return rep
+
+
+_SUITES = {
+    "bijection": suite_bijection,
+    "routes": suite_routes,
+    "corollary": suite_corollary,
+    "pieri": suite_pieri,
+    "stability": suite_stability,
+}
+SUITES = tuple(_SUITES)
 
 
 def measure_enumeration(w: Perm, repeats: int = 3) -> dict:

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schubert import calc, poly
 from schubert.calc import (
     SchubertExpansion,
     expand_in_schubert_basis,
@@ -73,6 +74,19 @@ def test_unknown_method_rejected():
         schubert((1, 2, 3), 3, method="magic")
     with pytest.raises(ValueError):
         skew((3, 2, 1), (1, 2, 3), 3, method="magic")
+
+
+def test_caches_are_bounded_and_hit():
+    assert calc._schubert.cache_info().maxsize == 4096
+    assert poly._reduction_basis.cache_info().maxsize == 16
+    before = calc._schubert.cache_info().hits
+    first = schubert((2, 4, 1, 3), 4)
+    assert schubert([2, 4, 1, 3]) is first
+    assert calc._schubert.cache_info().hits >= before + 1
+    normal_form(first, 4)
+    before = poly._reduction_basis.cache_info().hits
+    normal_form(first, 4)
+    assert poly._reduction_basis.cache_info().hits == before + 1
 
 
 # --- skew polynomials -------------------------------------------------------
@@ -147,6 +161,13 @@ def test_expansion_examples():
     assert e.terms == {longest(4): 1}
     e = expand_in_schubert_basis(x1 ** 2 + x1 * x2, 3)
     assert e.terms == {(3, 1, 2): 1, (2, 3, 1): 1}
+
+
+def test_expansion_hash_agrees_with_eq():
+    a = expand_in_schubert_basis(x1 ** 2 + x1 * x2, 3)
+    b = SchubertExpansion(3, {(2, 3, 1): 1, (3, 1, 2): 1, (1, 2, 3): 0})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, SchubertExpansion(3, {})}) == 2
 
 
 def test_expansion_rejects_outside_span():

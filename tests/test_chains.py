@@ -8,7 +8,6 @@ from schubert.chains import (
     chain_from_json_obj,
     chain_monomial,
     chain_to_json_obj,
-    chain_type,
     check_chain,
     count_by_type,
     increasing_chains,
@@ -25,7 +24,6 @@ CHAIN_1432 = LabeledChain(
 
 def test_chain_monomial_worked_example():
     assert chain_monomial(CHAIN_1432) == (1, 2, 0)
-    assert chain_type(CHAIN_1432) == (1, 2, 0)
 
 
 def test_empty_chain():

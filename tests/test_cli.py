@@ -4,6 +4,7 @@ import pytest
 
 from schubert.chains import chain_from_json_obj, count_by_type
 from schubert.cli import load_lr_table, main
+from schubert.perms import all_perms, perm_to_str
 from schubert.poly import poly_from_json_obj
 from schubert.rcgraphs import rcgraph_from_json_obj
 from schubert.verify import run_suite
@@ -102,6 +103,36 @@ def test_lr_json_and_cache(tmp_path, capsys):
     assert text.endswith("\n")
 
 
+def test_lr_all_matches_single_pairs(tmp_path, capsys):
+    expected = "".join(
+        run(capsys, "lr", perm_to_str(u), perm_to_str(v), "--format", "json")[1]
+        for u in all_perms(3) for v in all_perms(3)
+    )
+    code, out, _ = run(capsys, "lr", "--all", "--n", "3", "--format", "json")
+    assert code == 0
+    assert out == expected
+    assert len(out.splitlines()) == 21
+    code, text, _ = run(capsys, "lr", "--all", "--n", "3")
+    assert text.splitlines() == [
+        "{u} {v} {w} {c}".format(**json.loads(line)) for line in out.splitlines()
+    ]
+    cache = tmp_path / "lr3.ndjson"
+    code, _, err = run(capsys, "lr", "--all", "--n", "3", "--out", str(cache))
+    assert code == 0
+    assert err == f"appended 21 records to {cache}\n"
+    assert cache.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("argv", [
+    ("lr",), ("lr", "213"), ("lr", "--all"), ("lr", "--all", "--n", "3", "213"),
+])
+def test_lr_argument_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_rcgraphs_ascii_contains_known_grid(capsys):
     code, out, _ = run(capsys, "rcgraphs", "1432", "--n", "4", "--render", "ascii")
     assert code == 0
@@ -183,6 +214,12 @@ def test_verify_command(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["passed"] is True and rec["suite"] == "stability"
+
+
+def test_verify_empty_suite_is_skip(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "stability", "--n", "2")
+    assert code == 0
+    assert out == "stability: SKIP (0 checks)\n"
 
 
 def test_verify_all_small(capsys):

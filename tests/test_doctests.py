@@ -3,12 +3,14 @@ import doctest
 import pytest
 
 import schubert.perms
+import schubert.poly
 import schubert.rcgraphs
 
 
 @pytest.mark.parametrize("module", [
     schubert.perms,
     schubert.rcgraphs,
+    schubert.poly,
 ])
 def test_module_doctests(module):
     result = doctest.testmod(module)

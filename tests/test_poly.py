@@ -30,6 +30,14 @@ def test_monomials_trim_trailing_zeros():
     assert Poly.monomial((1, 2), 0) == Poly.zero()
 
 
+def test_constants_hash_like_ints():
+    assert hash(Poly.constant(5)) == hash(5)
+    assert hash(Poly.zero()) == hash(0)
+    assert hash(Poly.one()) == hash(1)
+    assert len({Poly.constant(-3), -3, Poly.monomial((), -3)}) == 1
+    assert hash(x1 + 1) == hash(Poly({(1,): 1, (): 1}))
+
+
 def test_basic_arithmetic():
     assert (x1 + x2) * (x1 * x2) == x1 ** 2 * x2 + x1 * x2 ** 2
     p = 3 * x1 * x2 - x3 ** 2 + 7
