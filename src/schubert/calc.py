@@ -32,10 +32,10 @@ from .chains import (
 )
 from .perms import (
     Perm,
-    bruhat_covers,
     bruhat_leq,
     compose,
     embed_all,
+    labeled_covers,
     longest,
     perm_from_code,
     perm_to_str,
@@ -216,9 +216,9 @@ def pieri(u: Sequence[int], a: int, k: int, n: int | None = None) -> SchubertExp
         if steps == a:
             counts[p] = counts.get(p, 0) + 1
             return
-        for v, (i, j) in bruhat_covers(p):
-            if i <= k < j and p[i - 1] > last_b:
-                walk(v, steps + 1, p[i - 1])
+        for (row, b), v in labeled_covers(p, (k, last_b)):
+            if row == k:
+                walk(v, steps + 1, b)
 
     walk(u, 0, 0)
     return SchubertExpansion(n, counts)

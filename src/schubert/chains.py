@@ -23,14 +23,15 @@ can run concurrently.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
 from .perms import (
     Label,
     Perm,
-    bruhat_covers,
+    cover_partners,
+    labeled_covers,
     labeled_edges,
     length,
     longest,
@@ -80,16 +81,17 @@ def check_chain(chain: LabeledChain) -> None:
             raise ValueError(f"{lab} does not label the cover {u} -> {w}")
 
 
-def chain_monomial(chain: LabeledChain) -> Composition:
-    """
-    The exponent vector of x^gamma, also called the type of the chain:
-    entry i counts the labels whose first coordinate is i.  Always n - 1
-    entries.
-    """
-    t = [0] * (chain.n - 1)
-    for k, _ in chain.labels:
+def cell_type(cells: Iterable[Label], n: int) -> Composition:
+    """The type of staircase cells in size n: entry i counts those in row i."""
+    t = [0] * (n - 1)
+    for k, _ in cells:
         t[k - 1] += 1
     return tuple(t)
+
+
+def chain_monomial(chain: LabeledChain) -> Composition:
+    """The exponent vector of x^gamma, also called the type of the chain."""
+    return cell_type(chain.labels, chain.n)
 
 
 def increasing_chains(u: Perm, w: Perm) -> Iterator[LabeledChain]:
@@ -102,20 +104,13 @@ def increasing_chains(u: Perm, w: Perm) -> Iterator[LabeledChain]:
         raise ValueError("size mismatch")
     target = length(w)
 
-    def walk(p: Perm, plen: int, last: Label | None,
+    def walk(p: Perm, plen: int, last: Label,
              perms: list[Perm], labels: list[Label]) -> Iterator[LabeledChain]:
         if plen == target:
             if p == w:
                 yield LabeledChain(tuple(perms), tuple(labels))
             return
-        steps = []
-        for v, (i, j) in bruhat_covers(p):
-            b = p[i - 1]
-            for k in range(i, j):
-                if last is None or (k, b) > last:
-                    steps.append(((k, b), v))
-        steps.sort()
-        for lab, v in steps:
+        for lab, v in labeled_covers(p, last):
             perms.append(v)
             labels.append(lab)
             yield from walk(v, plen + 1, lab, perms, labels)
@@ -125,7 +120,7 @@ def increasing_chains(u: Perm, w: Perm) -> Iterator[LabeledChain]:
     start_len = length(u)
     if start_len > target:
         return
-    yield from walk(u, start_len, None, [u], [])
+    yield from walk(u, start_len, (0, 0), [u], [])  # (0, 0) is below every label
 
 
 def increasing_chains_to_w0(w: Perm) -> Iterator[LabeledChain]:
@@ -138,35 +133,29 @@ def increasing_chains_to_w0(w: Perm) -> Iterator[LabeledChain]:
     w0 = longest(n)
 
     def walk(u: Perm, perms: list[Perm], labels: list[Label]) -> Iterator[LabeledChain]:
-        if u == w0:
-            yield LabeledChain(tuple(perms), tuple(labels))
-            return
-        k = 0
-        while u[k] + k + 1 > n:
+        k = 1
+        while u[k - 1] + k > n:
             k += 1
-        b = u[k]
-        # valid partners l: u(l) > b and u(l) below every value seen in
-        # between that itself exceeds b
-        bound = n + 1
-        for l in range(k + 1, n):
-            ul = u[l]
-            if b < ul < bound:
-                v = list(u)
-                v[k], v[l] = v[l], v[k]
-                perms.append(tuple(v))
-                labels.append((k + 1, b))
-                yield from walk(perms[-1], perms, labels)
-                perms.pop()
-                labels.pop()
-            if ul > b:
-                bound = min(bound, ul)
+        label = (k, u[k - 1])
+        for _, v in cover_partners(u, k):
+            perms.append(v)
+            labels.append(label)
+            if v == w0:  # a leaf costs no call, which keeps small searches cheap
+                yield LabeledChain(tuple(perms), tuple(labels))
+            else:
+                yield from walk(v, perms, labels)
+            perms.pop()
+            labels.pop()
 
-    yield from walk(w, [w], [])
+    if w == w0:
+        yield LabeledChain((w,), ())
+    else:
+        yield from walk(w, [w], [])
 
 
 def count_by_type(u: Perm, w: Perm, alpha: Sequence[int]) -> int:
     """The number of increasing chains from u to w of the given type."""
-    return type_counts(u, w)[_padded_type(alpha, len(u))]
+    return type_counts(u, w)[padded_type(alpha, len(u))]
 
 
 def type_counts(u: Perm, w: Perm) -> Counter:
@@ -174,7 +163,8 @@ def type_counts(u: Perm, w: Perm) -> Counter:
     return Counter(chain_monomial(c) for c in increasing_chains(u, w))
 
 
-def _padded_type(alpha: Sequence[int], n: int) -> Composition:
+def padded_type(alpha: Sequence[int], n: int) -> Composition:
+    """alpha in n - 1 parts; with a nonzero part past n - 1 it matches no chain."""
     alpha = tuple(alpha)
     if len(alpha) > n - 1:
         if any(alpha[n - 1:]):
@@ -211,9 +201,8 @@ def chain_from_json_obj(obj: dict, end: Perm | None = None) -> LabeledChain:
             if end is None or p == end:
                 walks.append(tuple(acc))
             return
-        lab = wanted[depth]
-        for v, (i, j) in bruhat_covers(p):
-            if i <= lab[0] < j and p[i - 1] == lab[1]:
+        for lab, v in labeled_covers(p):
+            if lab == wanted[depth]:
                 acc.append(v)
                 extend(v, depth + 1, acc)
                 acc.pop()

@@ -13,7 +13,7 @@ import sys
 from typing import Iterable, Sequence
 
 from .calc import lr_coefficients, schubert, skew, skew_expansion
-from .chains import chain_monomial, chain_to_json_obj, increasing_chains
+from .chains import chain_monomial, chain_to_json_obj, increasing_chains, padded_type
 from .perms import Perm, all_perms, embed_all, length, perm_from_str, perm_to_str
 from .poly import Poly, poly_to_json_obj, poly_to_text
 from .rcgraphs import enumerate_rcgraphs, render_ascii, rcgraph_to_json_obj
@@ -198,10 +198,7 @@ def cmd_chains(args: argparse.Namespace) -> int:
     (u, w), n = _resolve([args.u, args.w], args.n)
     wanted = None
     if args.type_ is not None:
-        wanted = tuple(int(x) for x in args.type_.split(","))
-        wanted = wanted + (0,) * (n - 1 - len(wanted))
-        if len(wanted) != n - 1:
-            raise ValueError(f"type needs at most {n - 1} parts")
+        wanted = padded_type([int(x) for x in args.type_.split(",")], n)
     for chain in increasing_chains(u, w):
         if wanted is not None and chain_monomial(chain) != wanted:
             continue
@@ -222,12 +219,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(json.dumps({
                 "suite": report.suite, "n": report.n, "seed": report.seed,
                 "checks": report.checks, "passed": report.passed,
-                "failures": report.failures[:20],
+                "status": report.status, "failures": report.failures[:20],
             }, sort_keys=True))
         else:
-            status = ("FAIL" if not report.passed
-                      else "PASS" if report.checks else "SKIP")
-            print(f"{report.suite}: {status} ({report.checks} checks)")
+            print(f"{report.suite}: {report.status} ({report.checks} checks)")
         for failure in report.failures[:20]:
             print(f"  {failure}", file=sys.stderr)
     return 0 if all_ok else 1

@@ -130,41 +130,48 @@ def perm_from_code(c: Sequence[int], n: int | None = None) -> Perm:
     return tuple(avail.pop(ci) for ci in c)
 
 
-def bruhat_covers(u: Perm) -> list[tuple[Perm, tuple[int, int]]]:
+def cover_partners(u: Perm, i: int) -> list[tuple[int, Perm]]:
     """
-    All covers u -> w in the Bruhat order, each with the swapped position
-    pair (i, j).  The swap (i, j) is a cover exactly when u(i) < u(j) and no
-    position strictly between i and j holds a value strictly between u(i)
-    and u(j).
+    Each (j, u*(i,j)) with j > i, increasing, such that u -> u*(i,j) is a
+    cover: u(i) < u(j) and no value strictly between them sits in between.
+    One pass, keeping the least value above u(i) seen so far as the bound.
+
+    >>> [j for j, _ in cover_partners((1, 4, 3, 2), 1)]
+    [2, 3, 4]
     """
-    n = len(u)
+    a = u[i - 1]
+    bound = len(u) + 1
     out = []
-    for i in range(n - 1):
-        ui = u[i]
-        for j in range(i + 1, n):
-            if ui < u[j] and not any(ui < u[p] < u[j] for p in range(i + 1, j)):
-                w = list(u)
-                w[i], w[j] = w[j], w[i]
-                out.append((tuple(w), (i + 1, j + 1)))
+    for j in range(i, len(u)):
+        b = u[j]
+        if a < b < bound:
+            bound = b
+            w = list(u)
+            w[i - 1], w[j] = b, a
+            out.append((j + 1, tuple(w)))
     return out
 
 
-def cover_transposition(u: Perm, w: Perm) -> tuple[int, int]:
-    """The positions (i, j) with w = u*(i,j), or raise if u -> w is no cover."""
-    if len(u) != len(w):
-        raise ValueError("size mismatch")
-    diff = [p for p in range(len(u)) if u[p] != w[p]]
-    if len(diff) != 2:
-        raise ValueError(f"{u} -> {w} is not a cover")
-    i, j = diff
-    if (
-        u[i] != w[j]
-        or u[j] != w[i]
-        or u[i] > u[j]
-        or length(w) != length(u) + 1
-    ):
-        raise ValueError(f"{u} -> {w} is not a cover")
-    return (i + 1, j + 1)
+def bruhat_covers(u: Perm) -> list[tuple[Perm, tuple[int, int]]]:
+    """
+    All covers u -> w in the Bruhat order, each with the swapped position
+    pair (i, j), in lexicographic order of (i, j).
+    """
+    return [(w, (i, j)) for i in range(1, len(u)) for j, w in cover_partners(u, i)]
+
+
+def labeled_covers(u: Perm, above: Label = (0, 0)) -> list[tuple[Label, Perm]]:
+    """
+    Every labeled edge ((k, b), w) out of u with label greater than above,
+    sorted.  The cover u -> u*(i,j) carries the j - i labels (k, u(i)) with
+    i <= k < j, so a label can sit on several covers; from 1324 the label
+    (1, 1) does:
+
+    >>> labeled_covers((1, 3, 2, 4))[:3]
+    [((1, 1), (2, 3, 1, 4)), ((1, 1), (3, 1, 2, 4)), ((2, 1), (2, 3, 1, 4))]
+    """
+    return sorted((lab, w) for w, (i, j) in bruhat_covers(u)
+                  for k in range(i, j) if (lab := (k, u[i - 1])) > above)
 
 
 def labeled_edges(u: Perm, w: Perm) -> list[Label]:
@@ -177,9 +184,11 @@ def labeled_edges(u: Perm, w: Perm) -> list[Label]:
     >>> labeled_edges((4, 1, 3, 2), (4, 2, 3, 1))
     [(2, 1), (3, 1)]
     """
-    i, j = cover_transposition(u, w)
-    b = u[i - 1]
-    return [(k, b) for k in range(i, j)]
+    w = tuple(w)
+    labels = [lab for lab, v in labeled_covers(u) if v == w]
+    if not labels:
+        raise ValueError(f"{u} -> {w} is not a cover")
+    return labels
 
 
 def bruhat_leq(u: Perm, w: Perm) -> bool:

@@ -17,6 +17,7 @@ from the highest-indexed variable downward, see :func:`monomial_key`.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -369,7 +370,7 @@ def poly_from_text(s: str) -> Poly:
         chunks = ["+"] + chunks
     if len(chunks) % 2:
         raise ValueError(f"malformed polynomial text: {s!r}")
-    total = Poly.zero()
+    terms: Counter = Counter()
     for sign, term in zip(chunks[::2], chunks[1::2]):
         m = _TERM_RE.match(term.strip())
         if not m or (m.group(1) is None and m.group(2) is None):
@@ -384,10 +385,8 @@ def poly_from_text(s: str) -> Poly:
                 i = int(var[1:])
                 exps[i] = exps.get(i, 0) + (int(pow_) if pow_ else 1)
         width = max(exps, default=0)
-        total = total + Poly.monomial(
-            tuple(exps.get(i, 0) for i in range(1, width + 1)), coef
-        )
-    return total
+        terms[tuple(exps.get(i, 0) for i in range(1, width + 1))] += coef
+    return Poly(terms)
 
 
 def poly_to_json_obj(p: Poly, nvars: int | None = None) -> list[dict]:
@@ -400,7 +399,8 @@ def poly_to_json_obj(p: Poly, nvars: int | None = None) -> list[dict]:
 
 
 def poly_from_json_obj(obj: list[dict]) -> Poly:
-    total = Poly.zero()
+    terms: Counter = Counter()
     for entry in obj:
-        total = total + Poly.monomial(tuple(entry["exp"]), int(entry["coef"]))
-    return total
+        # trimmed per term: a negative exponent raises even where terms cancel
+        terms[trim(entry["exp"])] += int(entry["coef"])
+    return Poly(terms)

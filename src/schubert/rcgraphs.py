@@ -21,7 +21,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .chains import LabeledChain, check_chain, increasing_chains_to_w0
+from .chains import LabeledChain, cell_type, check_chain, increasing_chains_to_w0
 from .perms import Label, Perm, length, longest
 
 
@@ -84,10 +84,7 @@ def perm_of(graph: RcGraph) -> Perm:
 
 def monomial(graph: RcGraph) -> tuple[int, ...]:
     """Exponent vector of x^R: entry i counts crossings in row i."""
-    t = [0] * (graph.n - 1 if graph.n > 1 else 0)
-    for k, _ in graph.crossings:
-        t[k - 1] += 1
-    return tuple(t)
+    return cell_type(graph.crossings, graph.n)
 
 
 def chain_of_rcgraph(graph: RcGraph) -> LabeledChain:

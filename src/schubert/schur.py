@@ -7,6 +7,7 @@ cross-check for the Schubert construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from typing import Iterator
 
@@ -78,14 +79,14 @@ def schur_oracle(
     """
     if k < 1:
         raise ValueError("need at least one variable")
-    total = Poly.zero()
+    terms: Counter = Counter()
     for tab in semistandard_tableaux(lam, mu, k):
         e = [0] * k
         for row in tab:
             for v in row:
                 e[v - 1] += 1
-        total = total + Poly.monomial(e)
-    return total
+        terms[tuple(e)] += 1
+    return Poly(terms)
 
 
 def grassmannian_descent(w: Perm) -> int | None:

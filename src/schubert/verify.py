@@ -38,6 +38,11 @@ class Report:
     def passed(self) -> bool:
         return not self.failures
 
+    @property
+    def status(self) -> str:
+        """FAIL on any failure, SKIP when nothing was checked, else PASS."""
+        return "FAIL" if self.failures else "PASS" if self.checks else "SKIP"
+
     def note(self, ok: bool, message: str) -> None:
         self.checks += 1
         if not ok:

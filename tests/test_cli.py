@@ -7,7 +7,7 @@ from schubert.cli import load_lr_table, main
 from schubert.perms import all_perms, perm_to_str
 from schubert.poly import poly_from_json_obj
 from schubert.rcgraphs import rcgraph_from_json_obj
-from schubert.verify import run_suite
+from schubert.verify import Report, run_suite
 
 
 def run(capsys, *argv):
@@ -188,6 +188,16 @@ def test_chains_type_filter(capsys):
     assert json.loads(lines[0])["steps"] == [[1, 1], [2, 1], [2, 2]]
 
 
+def test_chains_type_uses_the_chains_padding_rule(capsys):
+    base = run(capsys, "chains", "1432", "4321", "--type", "1,2,0")
+    assert base[0] == 0 and base[1]
+    assert run(capsys, "chains", "1432", "4321", "--type", "1,2,0,0,0") == base
+    assert run(capsys, "chains", "1432", "4321", "--type", "1,2") == base
+    # a nonzero part past n - 1 matches no chain, as in count_by_type
+    assert count_by_type((1, 4, 3, 2), (4, 3, 2, 1), (1, 1, 0, 1)) == 0
+    assert run(capsys, "chains", "1432", "4321", "--type", "1,1,0,1") == (0, "", "")
+
+
 def test_chains_text_rendering(capsys):
     code, out, _ = run(capsys, "chains", "4231", "4321")
     assert out == "4231 --(2,2)--> 4321\n"
@@ -214,12 +224,18 @@ def test_verify_command(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["passed"] is True and rec["suite"] == "stability"
+    assert rec["status"] == "PASS"
 
 
 def test_verify_empty_suite_is_skip(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "stability", "--n", "2")
     assert code == 0
     assert out == "stability: SKIP (0 checks)\n"
+    code, out, _ = run(capsys, "verify", "--suite", "stability", "--n", "2",
+                       "--format", "json")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["status"] == "SKIP" and rec["checks"] == 0
 
 
 def test_verify_all_small(capsys):
@@ -227,6 +243,15 @@ def test_verify_all_small(capsys):
     assert code == 0
     assert len(out.splitlines()) == 5
     assert all("PASS" in line for line in out.splitlines())
+
+
+def test_report_status():
+    rep = Report("routes", 3, 0)
+    assert rep.status == "SKIP"
+    rep.note(True, "ok")
+    assert rep.status == "PASS"
+    rep.note(False, "broken")
+    assert rep.status == "FAIL" and not rep.passed
 
 
 def test_run_suite_rejects_unknown():

@@ -19,7 +19,7 @@ from schubert.perms import (
     perm_to_str,
 )
 
-from oracles import bruhat_reachable, inversion_count
+from oracles import bruhat_reachable, cover_graph, inversion_count
 
 perms_of = lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 small_perms = st.integers(min_value=1, max_value=6).flatmap(perms_of)
@@ -91,6 +91,18 @@ def test_cover_properties(u):
         assert len(labels) == j - i
         assert all(b == u[i - 1] for _, b in labels)
         assert [k for k, _ in labels] == list(range(i, j))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_covers_match_oracle(n):
+    succ = cover_graph(n)
+    for u, targets in succ.items():
+        covers = bruhat_covers(u)
+        assert {w for w, _ in covers} == targets
+        assert len(covers) == len(targets)
+        for w, ij in covers:
+            assert ij == tuple(p + 1 for p in range(n) if u[p] != w[p])
+        assert [ij for _, ij in covers] == sorted(ij for _, ij in covers)
 
 
 def test_labeled_edges_examples():

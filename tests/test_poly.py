@@ -165,6 +165,19 @@ def test_json_round_trip_random(p):
     assert poly_from_json_obj(poly_to_json_obj(p)) == p
 
 
+def test_parsers_merge_duplicate_cancelling_and_untrimmed_terms():
+    assert poly_from_text("x1 + 2*x1*x2 + x1 - x1*x2 - x1*x2") == 2 * x1
+    assert poly_from_text("x1*x2 - x2*x1 + 3") == Poly.constant(3)
+    obj = [{"exp": [1, 0, 0], "coef": 2}, {"exp": [1], "coef": -2},
+           {"exp": [0, 1], "coef": 1}, {"exp": [0, 1, 0], "coef": 4},
+           {"exp": [], "coef": 0}]
+    assert poly_from_json_obj(obj) == 5 * x2
+    assert poly_from_json_obj([{"exp": [1], "coef": 1},
+                               {"exp": [1, 0], "coef": -1}]) == Poly.zero()
+    with pytest.raises(ValueError):
+        poly_from_json_obj([{"exp": [-1], "coef": 1}, {"exp": [-1], "coef": -1}])
+
+
 def test_json_shape():
     obj = poly_to_json_obj(x1 + x2, 3)
     assert obj == [{"exp": [1, 0, 0], "coef": 1}, {"exp": [0, 1, 0], "coef": 1}]
