@@ -34,8 +34,8 @@ from .perms import (
     Perm,
     bruhat_leq,
     compose,
+    cover_partners,
     embed_all,
-    labeled_covers,
     longest,
     perm_from_code,
     perm_to_str,
@@ -164,24 +164,29 @@ def expand_in_schubert_basis(p: Poly, n: int) -> SchubertExpansion:
     Extraction is triangular: the maximal monomial of S_w in the pinned
     order is x^code(w) with coefficient 1, so repeatedly matching the
     maximal remaining monomial against its code peels off one basis element
-    at a time.  Raises ValueError when p is not in the span.
+    at a time, subtracting c * S_w from the remaining terms in place.
+    Raises ValueError when p is not in the span.
     """
-    remaining = p
+    remaining = dict(p.items())
     out: dict[Perm, int] = {}
     rounds = 0
     limit = factorial(n) + 1
-    while not remaining.is_zero():
-        m = max((mm for mm, _ in remaining.items()),
-                key=lambda mm: monomial_key(mm, n))
+    while remaining:
+        m = max(remaining, key=lambda mm: monomial_key(mm, n))
         if not divides_staircase(m, n):
             raise ValueError(
                 f"monomial {m} does not divide the staircase; "
                 f"polynomial is not in the Schubert span of S_{n}"
             )
         w = perm_from_code(m, n)
-        c = remaining.coefficient(m)
+        c = remaining[m]
         out[w] = c
-        remaining = remaining - schubert(w, n) * c
+        for mm, cc in schubert(w, n).items():
+            s = remaining.get(mm, 0) - c * cc
+            if s:
+                remaining[mm] = s
+            elif mm in remaining:
+                del remaining[mm]
         rounds += 1
         if rounds > limit:
             raise RuntimeError("extraction failed to terminate")
@@ -194,8 +199,15 @@ def lr_coefficients(
     """
     The map w -> c^w_{u,v} from S_u * S_v = sum c^w_{u,v} S_w, complete for
     the w lying in S_n.
+
+    The product vanishes in H*(Fl_n) exactly when u is not below w0 v in
+    the Bruhat order (the Richardson variety is empty), so that case
+    returns the empty expansion without a product or a normal form.  The
+    test also covers length(u) + length(v) > length(w0).
     """
     (u, v), n = embed_all([u, v], n)
+    if not bruhat_leq(u, compose(longest(n), v)):
+        return SchubertExpansion(n, {})
     return expand_in_schubert_basis(normal_form(schubert(u, n) * schubert(v, n), n), n)
 
 
@@ -203,7 +215,8 @@ def pieri(u: Sequence[int], a: int, k: int, n: int | None = None) -> SchubertExp
     """
     The expansion of S_u * h_a(x_1, ..., x_k): the multiset of endpoints of
     increasing chains from u of length a whose labels all have first
-    coordinate k.
+    coordinate k.  The cover p -> p*(i,j) carries one label in row k,
+    (k, p(i)), when i <= k < j.
     """
     (u,), n = embed_all([u], n)
     if a < 0:
@@ -216,9 +229,12 @@ def pieri(u: Sequence[int], a: int, k: int, n: int | None = None) -> SchubertExp
         if steps == a:
             counts[p] = counts.get(p, 0) + 1
             return
-        for (row, b), v in labeled_covers(p, (k, last_b)):
-            if row == k:
-                walk(v, steps + 1, b)
+        for i in range(1, k + 1):
+            b = p[i - 1]
+            if b > last_b:
+                for j, v in cover_partners(p, i):
+                    if j > k:
+                        walk(v, steps + 1, b)
 
     walk(u, 0, 0)
     return SchubertExpansion(n, counts)

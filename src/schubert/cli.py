@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .calc import lr_coefficients, schubert, skew, skew_expansion
 from .chains import chain_monomial, chain_to_json_obj, increasing_chains, padded_type
-from .perms import Perm, all_perms, embed_all, length, perm_from_str, perm_to_str
+from .perms import Perm, all_perms, embed_all, perm_from_str, perm_to_str
 from .poly import Poly, poly_to_json_obj, poly_to_text
 from .rcgraphs import enumerate_rcgraphs, render_ascii, rcgraph_to_json_obj
 from .verify import SUITES, run_suite
@@ -124,10 +124,8 @@ def _lr_pairs(args: argparse.Namespace) -> tuple[Iterable[tuple[Perm, Perm]], in
     if args.u is not None or args.n is None:
         raise ValueError("lr --all takes no permutations and needs --n")
     n = args.n
-    top = n * (n - 1) // 2
-    # a product of total degree above length(w0) is zero in H*(Fl_n)
-    return ((u, v) for u in all_perms(n) for v in all_perms(n)
-            if length(u) + length(v) <= top), n
+    # lr_coefficients itself returns at once on the products that vanish
+    return ((u, v) for u in all_perms(n) for v in all_perms(n)), n
 
 
 def cmd_lr(args: argparse.Namespace) -> int:

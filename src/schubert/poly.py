@@ -20,7 +20,9 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
+from operator import add, neg
 from typing import Iterator
 
 Exponents = tuple[int, ...]
@@ -281,47 +283,69 @@ def h_alpha(alpha: Iterable[int], n: int) -> Poly:
 
 
 @lru_cache(maxsize=16)
-def _reduction_basis(n: int) -> tuple[tuple[int, Poly], ...]:
+def _reduction_basis(n: int) -> tuple[tuple[int, int, tuple[Exponents, ...]], ...]:
     """
-    For i = n..1 the rewrite x_i^{n-i+1} == -(h_{n-i+1}(x_1..x_i) minus its
-    lead term).  The lead terms are pairwise coprime pure powers, so the
+    For i = n..1 the rewrite x_i^d == -(h_d(x_1..x_i) minus its lead term),
+    d = n - i + 1.  The lead terms are pairwise coprime pure powers, so the
     basis is Groebner and remainders are exactly the monomials dividing
     x^delta.
+
+    Each rule is (i - 1, d, steps) on exponent tuples padded to length n:
+    a monomial m with m[i - 1] >= d rewrites to minus the sum of m + s over
+    the steps s, one per tail monomial t, s = t - x_i^d.
+
+    >>> _reduction_basis(2)
+    ((1, 1, ((1, -1),)), (0, 2, ()))
     """
-    basis = []
+    rules = []
     for i in range(n, 0, -1):
-        g = complete_h(n - i + 1, i)
-        lead = (0,) * (i - 1) + (n - i + 1,)
-        tail = g - Poly.monomial(lead)
-        basis.append((i, -tail))
-    return tuple(basis)  # cached and shared, so immutable
+        d = n - i + 1
+        steps = []
+        for m, _ in complete_h(d, i).items():
+            s = list(m) + [0] * (n - len(m))
+            if s[i - 1] < d:  # not the lead term x_i^d
+                s[i - 1] -= d
+                steps.append(tuple(s))
+        rules.append((i - 1, d, tuple(steps)))
+    return tuple(rules)  # cached and shared, so immutable
 
 
 def normal_form(p: Poly, n: int) -> Poly:
     """
     The unique representative of p modulo <e_1, ..., e_n> supported on
     monomials dividing x^delta.  Linear and idempotent.
+
+    A rewrite only creates monomials smaller than the one it removes, so
+    each monomial is taken once, largest first, from a max-heap of pinned
+    order keys (negated, for heapq's min-heap).  A monomial is pushed when
+    it enters the work set; one whose terms cancelled is skipped when
+    popped.  The rules of :func:`_reduction_basis` act on padded exponent
+    tuples in place.
     """
     if p.nvars() > n:
         raise ValueError(f"polynomial uses more than {n} variables")
-    basis = _reduction_basis(n)
-
-    work = dict(p.items())
+    rules = _reduction_basis(n)
+    work = {m + (0,) * (n - len(m)): c for m, c in p.items()}
+    heap = [(tuple(map(neg, reversed(m))), m) for m in work]
+    heapify(heap)
     done: dict[Exponents, int] = {}
-    while work:
-        m = max(work, key=lambda mm: monomial_key(mm, n))
-        c = work.pop(m)
-        for i, repl in basis:
-            power = m[i - 1] if i <= len(m) else 0
-            if power >= n - i + 1:
-                rest = list(m)
-                rest[i - 1] = power - (n - i + 1)
-                for rm, rc in (Poly.monomial(rest, c) * repl).items():
-                    s = work.get(rm, 0) + rc
-                    if s:
-                        work[rm] = s
-                    elif rm in work:
-                        del work[rm]
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        for i, d, steps in rules:
+            if m[i] >= d:
+                for s in steps:  # h_d has all coefficients 1: each adds -c
+                    r = tuple(map(add, m, s))
+                    old = work.get(r)
+                    if old is None:
+                        work[r] = -c
+                        heappush(heap, (tuple(map(neg, reversed(r))), r))
+                    elif old == c:
+                        del work[r]
+                    else:
+                        work[r] = old - c
                 break
         else:
             done[m] = c

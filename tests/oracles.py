@@ -3,7 +3,7 @@ Independent brute-force oracles.  Everything here is deliberately naive and
 shares no code path with the implementations it checks.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 from schubert.perms import Perm
 
@@ -73,3 +73,43 @@ def brute_force_rcgraphs(w: Perm) -> set[frozenset]:
         if word_product(word, n) == w:
             found.add(frozenset(sub))
     return found
+
+
+def max_ordered_normal_form(terms: dict, n: int) -> dict:
+    """
+    The normal form modulo <e_1, ..., e_n> by the plain quadratic loop, on a
+    dict of exponent tuples: take the largest monomial left (exponents read
+    from x_n down to x_1) by a scan of all of them; if some x_i^d with
+    d = n - i + 1 divides it, for the largest such i, replace x_i^d by
+    minus the other monomials of h_d(x_1, ..., x_i); else keep it.
+    """
+    work: dict = {}
+    for m, c in terms.items():
+        m = tuple(m) + (0,) * (n - len(m))
+        work[m] = work.get(m, 0) + c
+        if work[m] == 0:
+            del work[m]
+    done = {}
+    while work:
+        m = max(work, key=lambda e: e[::-1])
+        c = work.pop(m)
+        for i in range(n, 0, -1):
+            d = n - i + 1
+            if m[i - 1] >= d:
+                for combo in combinations_with_replacement(range(i), d):
+                    r = list(m)
+                    r[i - 1] -= d
+                    for j in combo:
+                        r[j] += 1
+                    r = tuple(r)
+                    if r == m:  # the lead term x_i^d itself
+                        continue
+                    work[r] = work.get(r, 0) - c
+                    if work[r] == 0:
+                        del work[r]
+                break
+        else:
+            while m and m[-1] == 0:
+                m = m[:-1]
+            done[m] = c
+    return done

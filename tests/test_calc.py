@@ -249,6 +249,29 @@ def test_lr_grading_and_nonnegativity():
                 assert length(w) == length(u) + length(v)
 
 
+# each ordered pair of S_2..S_4 and each unordered pair of S_5, with the
+# number of products that vanish in H*(Fl_n)
+VANISHING_CASES = [(2, False, 1, 4), (3, False, 17, 36), (4, False, 363, 576),
+                   (5, True, 5352, 7260)]
+
+
+@pytest.mark.parametrize("n, unordered, zeros, pairs", VANISHING_CASES)
+def test_lr_vanishing_test_matches_full_route(n, unordered, zeros, pairs):
+    perms = list(all_perms(n))
+    w0 = longest(n)
+    cases = [(u, v) for i, u in enumerate(perms)
+             for v in (perms[i:] if unordered else perms)]
+    assert len(cases) == pairs
+    seen = 0
+    for u, v in cases:
+        shortcut = not bruhat_leq(u, compose(w0, v))
+        full = normal_form(schubert(u, n) * schubert(v, n), n)
+        assert shortcut == full.is_zero(), (u, v)
+        assert shortcut == (len(lr_coefficients(u, v, n)) == 0), (u, v)
+        seen += shortcut
+    assert seen == zeros
+
+
 # --- Pieri and psi ----------------------------------------------------------
 
 def test_pieri_monk_case():

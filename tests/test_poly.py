@@ -1,5 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+
+from oracles import max_ordered_normal_form
 
 from schubert.poly import (
     Poly,
@@ -18,10 +20,16 @@ from schubert.poly import (
 
 x1, x2, x3 = Poly.variable(1), Poly.variable(2), Poly.variable(3)
 
-exponent_tuples = st.lists(st.integers(min_value=0, max_value=4), max_size=4).map(tuple)
-small_polys = st.dictionaries(
-    exponent_tuples, st.integers(min_value=-9, max_value=9), max_size=6
-).map(Poly)
+
+def polys_in(nvars):
+    """Up to 6 terms in x_1..x_nvars, exponents at most 4, coefficients -9..9."""
+    exps = st.lists(st.integers(min_value=0, max_value=4), max_size=nvars).map(tuple)
+    return st.dictionaries(
+        exps, st.integers(min_value=-9, max_value=9), max_size=6
+    ).map(Poly)
+
+
+small_polys = polys_in(4)
 
 
 def test_monomials_trim_trailing_zeros():
@@ -124,6 +132,9 @@ def test_normal_form_idempotent_and_staircase(n):
 
 
 @given(small_polys, small_polys)
+# a product that ran past the 200 ms deadline under a quadratic reduction
+@example(p=poly_from_text("1 + x4^3 + x3^3*x4^4"),
+         q=poly_from_text("1 + x1 + x3*x4^4 + x3^2*x4^4 + x3^3*x4^4"))
 def test_normal_form_is_a_ring_map(p, q):
     n = 4
     lhs = normal_form(p * q, n)
@@ -135,6 +146,13 @@ def test_normal_form_is_a_ring_map(p, q):
 def test_normal_form_is_linear(p, q):
     n = 4
     assert normal_form(p + q, n) == normal_form(p, n) + normal_form(q, n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@given(data=st.data())
+def test_normal_form_matches_max_ordered_oracle(n, data):
+    p = data.draw(polys_in(n))
+    assert dict(normal_form(p, n).items()) == max_ordered_normal_form(dict(p.items()), n)
 
 
 def test_h_alpha_at_delta_contains_staircase_monomial():
