@@ -184,8 +184,9 @@ class Poly:
         res: dict[Exponents, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
+                # a sum of trimmed nonnegative monomials is trimmed
                 a, b = (m1, m2) if len(m1) >= len(m2) else (m2, m1)
-                m = trim(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+                m = tuple(x + y for x, y in zip(a, b)) + a[len(b):]
                 s = res.get(m, 0) + c1 * c2
                 if s:
                     res[m] = s

@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .calc import (
+    SchubertExpansion,
     expand_in_schubert_basis,
     pieri,
     psi_alpha,
@@ -64,6 +65,11 @@ def suite_bijection(n: int, seed: int = 0) -> Report:
     """Chains to w0 and rc-graphs are inverse bijections exchanging weights."""
     rep = Report("bijection", n, seed)
     delta = tuple(range(n - 1, -1, -1))
+
+    def complementary(graph, chain) -> bool:  # x^R * x^gamma == x^delta
+        weights = zip(monomial(graph) + (0,), chain_monomial(chain) + (0,))
+        return tuple(a + b for a, b in weights) == delta
+
     for w in all_perms(n):
         graphs = list(enumerate_rcgraphs(w))
         chains = list(increasing_chains_to_w0(w))
@@ -73,23 +79,25 @@ def suite_bijection(n: int, seed: int = 0) -> Report:
                  f"{perm_to_str(w)}: duplicate rc-graphs")
         for graph in graphs:
             chain = chain_of_rcgraph(graph)
-            back = rcgraph_of_chain(chain)
-            rep.note(back == graph, f"{perm_to_str(w)}: round trip failed")
-            total = tuple(
-                a + b for a, b in zip(
-                    monomial(graph) + (0,), chain_monomial(chain) + (0,)
-                )
-            )
-            rep.note(total == delta,
+            rep.note(rcgraph_of_chain(chain) == graph,
+                     f"{perm_to_str(w)}: round trip failed")
+            rep.note(complementary(graph, chain),
                      f"{perm_to_str(w)}: x^R * x^gamma != x^delta")
-        for chain in chains:
-            graph = rcgraph_of_chain(chain)
-            rep.note(chain_of_rcgraph(graph) == chain,
+        # enumerate_rcgraphs lists the complements of the chains in chain order
+        for graph, chain in zip(graphs, chains):
+            rep.note(chain_of_rcgraph(rcgraph_of_chain(chain)) == chain,
                      f"{perm_to_str(w)}: chain round trip failed")
+            rep.note(complementary(graph, chain),
+                     f"{perm_to_str(w)}: rc-graph and chain listed together differ")
     return rep
 
 
-def suite_routes(n: int, seed: int = 0, samples: int = 100) -> Report:
+# seeded pairs suite_routes draws above S_4; the largest a and k suite_pieri checks
+ROUTE_SAMPLES = 100
+PIERI_MAX_A = PIERI_MAX_K = 3
+
+
+def suite_routes(n: int, seed: int = 0) -> Report:
     """The three skew routes agree; exhaustive for n <= 4, sampled above."""
     rep = Report("routes", n, seed)
     if n <= 4:
@@ -98,7 +106,7 @@ def suite_routes(n: int, seed: int = 0, samples: int = 100) -> Report:
         rng = random.Random(seed)
         perms = list(all_perms(n))
         pairs = []
-        while len(pairs) < samples:
+        while len(pairs) < ROUTE_SAMPLES:
             u = rng.choice(perms)
             w = rng.choice(perms)
             if bruhat_leq(u, w):
@@ -130,19 +138,19 @@ def suite_corollary(n: int, seed: int = 0) -> Report:
     return rep
 
 
-def suite_pieri(n: int, seed: int = 0, max_a: int = 3, max_k: int = 3) -> Report:
+def suite_pieri(n: int, seed: int = 0) -> Report:
     """Chain-route Pieri equals the polynomial route; psi matches both reads."""
     rep = Report("pieri", n, seed)
     for u in all_perms(n):
-        for k in range(1, min(max_k, n - 1) + 1):
-            for a in range(0, max_a + 1):
+        for k in range(1, min(PIERI_MAX_K, n - 1) + 1):
+            for a in range(0, PIERI_MAX_A + 1):
                 via_chains = pieri(u, a, k, n)
                 product = normal_form(schubert(u, n) * complete_h(a, k), n)
                 via_poly = expand_in_schubert_basis(product, n)
                 rep.note(via_chains == via_poly,
                          f"pieri({perm_to_str(u)}, a={a}, k={k}) mismatch")
-    exp_one = {w: expand_in_schubert_basis(schubert(w, n), n) for w in all_perms(n)}
-    for w, f in exp_one.items():
+    for w in all_perms(n):
+        f = SchubertExpansion(n, {w: 1})
         # all alpha with 0 <= alpha_i <= n - i, in lexicographic order
         for alpha in itertools.product(*(range(n - i + 1) for i in range(1, n))):
             lhs = psi_alpha(f, alpha, n)
@@ -180,19 +188,16 @@ _SUITES = {
 SUITES = tuple(_SUITES)
 
 
-def measure_enumeration(w: Perm, repeats: int = 3) -> dict:
+def measure_enumeration(w: Perm) -> dict:
     """
-    Time the full chain enumeration for w.  Returns n, the number of steps
-    per chain l, the chain count c, the best wall time, and the unit cost
+    Time one full chain enumeration for w.  Returns n, the number of steps
+    per chain l, the chain count c, the wall time, and the unit cost
     time / (n * l * c).
     """
     n = len(w)
     l = n * (n - 1) // 2 - length(w)
-    c = 0
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        c = sum(1 for _ in increasing_chains_to_w0(w))
-        best = min(best, time.perf_counter() - t0)
-    unit = best / (n * l * c) if l and c else float("nan")
-    return {"w": w, "n": n, "l": l, "c": c, "time": best, "unit": unit}
+    t0 = time.perf_counter()
+    c = sum(1 for _ in increasing_chains_to_w0(w))
+    elapsed = time.perf_counter() - t0
+    unit = elapsed / (n * l * c) if l and c else float("nan")
+    return {"w": w, "n": n, "l": l, "c": c, "time": elapsed, "unit": unit}

@@ -11,7 +11,6 @@ from schubert.calc import (
     lr_coefficients,
     pieri,
     psi_alpha,
-    psi_alpha_normal_form,
     schubert,
     schur_oracle,
     skew,
@@ -31,7 +30,6 @@ from schubert.perms import (
 )
 from schubert.poly import (
     Poly,
-    complete_h,
     monomial_key,
     normal_form,
     poly_from_text,
@@ -125,16 +123,6 @@ def test_skew_coefficient_sum_oracle():
     nf_sum = normal_form(prod, 4).coefficient_sum()
     assert nf_sum == 4
     assert skew((2, 4, 1, 3), (1, 3, 2, 4), 4, method="chains").coefficient_sum() == nf_sum
-
-
-@pytest.mark.parametrize("method", ["normalform", "chains", "lr"])
-def test_skew_methods_exhaustive_s3(method):
-    for u in all_perms(3):
-        for w in all_perms(3):
-            if not bruhat_leq(u, w):
-                continue
-            reference = skew(w, u, 3, method="normalform")
-            assert skew(w, u, 3, method=method) == reference
 
 
 def test_skew_methods_sampled_s5():
@@ -284,16 +272,6 @@ def test_pieri_trivial():
     assert e.terms == {(2, 4, 1, 3): 1}
 
 
-def test_pieri_against_polynomial_route():
-    for u in all_perms(3):
-        for k in (1, 2):
-            for a in range(0, 3):
-                via_chains = pieri(u, a, k, 3)
-                via_poly = expand_in_schubert_basis(
-                    normal_form(schubert(u, 3) * complete_h(a, k), 3), 3)
-                assert via_chains.terms == via_poly.terms, (u, a, k)
-
-
 def test_psi_alpha_trivial():
     f = SchubertExpansion(3, {longest(3): 1})
     assert psi_alpha(f, (0, 0), 3) == 1
@@ -309,16 +287,6 @@ def test_psi_alpha_counts_chains():
         f = SchubertExpansion(n, {w: 1})
         for counts_alpha, expected in type_counts(w, longest(n)).items():
             assert psi_alpha(f, counts_alpha, n) == expected
-
-
-def test_psi_alpha_equals_normal_form_coefficient():
-    n = 3
-    for w in all_perms(n):
-        f = SchubertExpansion(n, {w: 1})
-        for alpha in product(range(n), range(n - 1)):
-            if alpha[0] > 2 or alpha[1] > 1:
-                continue
-            assert psi_alpha(f, alpha, n) == psi_alpha_normal_form(f, alpha, n)
 
 
 def test_psi_alpha_rejects_bad_composition():
@@ -375,16 +343,3 @@ def test_skew_schubert_differs_from_skew_schur():
     assert e[compose(w0, (1, 4, 2, 3))] == 1
     assert e[compose(w0, (2, 1, 4, 3))] == 1
     assert len(e) == 3
-
-
-# --- stability ---------------------------------------------------------------
-
-def test_skew_stability_shift():
-    for u in all_perms(3):
-        for w in all_perms(3):
-            if not bruhat_leq(u, w):
-                continue
-            for m in (3, 4):
-                small = skew(w, u, m)
-                big = skew(w, u, m + 1)
-                assert small * Poly.monomial((1,) * m) == big, (u, w, m)

@@ -62,6 +62,15 @@ def test_ring_laws(p, q, r):
     assert (p + q) + r == p + (q + r)
 
 
+@given(small_polys, small_polys)
+def test_product_keys_are_canonical(p, q):
+    prod = p * q
+    for m, _ in prod.items():
+        assert not m or m[-1] != 0, m
+        assert all(a >= 0 for a in m), m
+    assert prod == Poly(dict(prod.items()))
+
+
 def test_coefficient():
     p = x1 + x2
     assert p.coefficient((1,)) == 1
