@@ -17,19 +17,13 @@ All agree exactly; the test suite exercises that on full symmetric groups.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Iterator
 
-from .chains import (
-    LabeledChain,
-    chain_monomial,
-    count_by_type,
-    increasing_chains,
-    increasing_chains_to_w0,
-)
+from .chains import chain_monomial, increasing_chains_to_w0, padded_type, type_counts
 from .perms import (
     Perm,
     bruhat_leq,
@@ -94,22 +88,20 @@ class SchubertExpansion:
 
     def as_poly(self) -> Poly:
         """Reassemble sum c_w * S_w."""
-        total = Poly.zero()
+        total: Counter = Counter()
         for w, c in self.terms.items():
-            total = total + schubert(w, self.n) * c
-        return total
+            total.update({m: c * cm for m, cm in schubert(w, self.n).items()})
+        return Poly(total)
 
     def to_json_obj(self) -> dict[str, int]:
         return {perm_to_str(w): c for w, c in sorted(self.terms.items(),
                                                      key=lambda wc: perm_to_str(wc[0]))}
 
 
-def _chain_sum(chains: Iterable[LabeledChain], n: int) -> Poly:
-    """The sum of x^delta / x^gamma over the chains, gamma the chain's type."""
+def _chain_sum(types: Counter, n: int) -> Poly:
+    """The sum of x^delta / x^gamma over chains, given how many have each type gamma."""
     delta = range(n - 1, -1, -1)
-    return Poly(Counter(
-        tuple(d - a for d, a in zip(delta, chain_monomial(c))) for c in chains
-    ))
+    return Poly({tuple(d - a for d, a in zip(delta, gamma)): c for gamma, c in types.items()})
 
 
 def schubert(w: Sequence[int], n: int | None = None, method: str = "chain") -> Poly:
@@ -126,7 +118,7 @@ def schubert(w: Sequence[int], n: int | None = None, method: str = "chain") -> P
 @lru_cache(maxsize=4096)
 def _schubert(w: Perm, n: int, method: str) -> Poly:
     if method == "chain":
-        return _chain_sum(increasing_chains_to_w0(w), n)
+        return _chain_sum(Counter(map(chain_monomial, increasing_chains_to_w0(w))), n)
     if method == "rcgraph":
         return Poly(Counter(rc_monomial(g) for g in enumerate_rcgraphs(w)))
     raise ValueError(f"unknown method {method!r}")
@@ -148,7 +140,7 @@ def skew(
             f"{perm_to_str(u)} is not below {perm_to_str(w)} in the Bruhat order"
         )
     if method == "chains":
-        return _chain_sum(increasing_chains(u, w), n)
+        return _chain_sum(type_counts(u, w), n)
     if method not in ("normalform", "lr"):
         raise ValueError(f"unknown method {method!r}")
     product = normal_form(schubert(u, n) * schubert(compose(longest(n), w), n), n)
@@ -277,20 +269,25 @@ def skew_expansion(w: Perm, u: Perm, n: int) -> SchubertExpansion:
     return expand_in_schubert_basis(skew(w, u, n, method="normalform"), n)
 
 
+def corollary_sides(u: Perm, w: Perm, expansion: SchubertExpansion,
+                    counts=type_counts) -> tuple[Counter, Counter]:
+    """
+    Both sides of I_alpha(u, w) == sum_v c^w_{u,v} * I_alpha(w0 v, w0) for
+    every alpha, with c from the skew expansion of w over u and counts(p, q)
+    the Counter of types of the increasing chains from p to q.
+    """
+    w0 = longest(expansion.n)
+    rhs: Counter = Counter()
+    for z, c in expansion.terms.items():  # the expansion indices are z = w0 v
+        rhs.update({alpha: c * cnt for alpha, cnt in counts(z, w0).items()})
+    return counts(u, w), rhs
+
+
 def verify_corollary(
     u: Sequence[int], w: Sequence[int], alpha: Sequence[int], n: int | None = None
 ) -> bool:
-    """
-    Check the chain-counting identity
-    I_alpha(u, w) == sum_v c^w_{u,v} * I_alpha(w0 v, w0),
-    with the structure constants read from the skew expansion.
-    """
+    """Check the chain-counting identity for the type alpha."""
     (u, w), n = embed_all([u, w], n)
-    lhs = count_by_type(u, w, alpha)
-    w0 = longest(n)
-    # expansion indices z = w0 v, so w0 v runs over the indices directly
-    rhs = sum(
-        c * count_by_type(z, w0, alpha)
-        for z, c in skew_expansion(w, u, n).terms.items()
-    )
-    return lhs == rhs
+    lhs, rhs = corollary_sides(u, w, skew_expansion(w, u, n))
+    alpha = padded_type(alpha, n)
+    return lhs[alpha] == rhs[alpha]

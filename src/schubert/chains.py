@@ -8,16 +8,16 @@ both the swap of positions (1,2) and of (1,3) carry the label (1,1)), so
 labels alone do not pin down the walk.  A chain is *increasing* when its
 labels strictly increase in lexicographic order.
 
-Two enumerators are provided.  The generic one walks all covers and works
-between any pair of endpoints.  Chains ending at the longest permutation
-admit a much better search: the branches below a node u all swap the same
-position k, the minimal one with u(k) + k < n + 1, paired with every l > k
-that yields a cover.  That tree has one leaf per chain and its depth equals
-the number of steps, so the whole of Gamma(w, w0) costs O(n * l * c) where
-l is the number of steps and c the number of chains.
-
-Both enumerators keep all state on their own stack; independent traversals
-can run concurrently.
+The generic walk goes up from u over the covers whose label exceeds the
+last one; each node it reaches ends one increasing chain from u, so one
+walk gives the chains from u to every w, with their types.  Chains ending
+at the longest permutation admit a much better search: the branches below
+a node u all swap the same position k, the minimal one with u(k) + k < n + 1,
+paired with every l > k that yields a cover.  That tree has one leaf per
+chain and its depth equals the number of steps, so the whole of
+Gamma(w, w0) costs O(n * l * c) where l is the number of steps and c the
+number of chains.  Both walks keep all state on their own stack;
+independent traversals can run concurrently.
 """
 
 from __future__ import annotations
@@ -94,6 +94,34 @@ def chain_monomial(chain: LabeledChain) -> Composition:
     return cell_type(chain.labels, chain.n)
 
 
+def walk_increasing(u: Perm, top: int) -> Iterator[tuple[list[Perm], list[Label], list[int]]]:
+    """
+    Walk the increasing chains from u up to Bruhat length top, yielding
+    (perms, labels, gamma) at each node: the chain from u to it and its type.
+    A node comes before the nodes above it, in lexicographic label order.
+    The lists are the walk's own stack, changed by its next step.
+    """
+    perms, labels, gamma = node = [u], [], [0] * (len(u) - 1)
+
+    def above(p: Perm, plen: int, last: Label):
+        for lab, v in labeled_covers(p, last):
+            perms.append(v)
+            labels.append(lab)
+            gamma[lab[0] - 1] += 1
+            yield node
+            if plen + 1 < top:  # a node at length top costs no call
+                yield from above(v, plen + 1, lab)
+            perms.pop()
+            labels.pop()
+            gamma[lab[0] - 1] -= 1
+
+    start = length(u)
+    if start <= top:
+        yield node
+    if start < top:
+        yield from above(u, start, (0, 0))  # (0, 0) is below every label
+
+
 def increasing_chains(u: Perm, w: Perm) -> Iterator[LabeledChain]:
     """
     Every increasing chain from u to w, each exactly once, in lexicographic
@@ -102,25 +130,9 @@ def increasing_chains(u: Perm, w: Perm) -> Iterator[LabeledChain]:
     """
     if len(u) != len(w):
         raise ValueError("size mismatch")
-    target = length(w)
-
-    def walk(p: Perm, plen: int, last: Label,
-             perms: list[Perm], labels: list[Label]) -> Iterator[LabeledChain]:
-        if plen == target:
-            if p == w:
-                yield LabeledChain(tuple(perms), tuple(labels))
-            return
-        for lab, v in labeled_covers(p, last):
-            perms.append(v)
-            labels.append(lab)
-            yield from walk(v, plen + 1, lab, perms, labels)
-            perms.pop()
-            labels.pop()
-
-    start_len = length(u)
-    if start_len > target:
-        return
-    yield from walk(u, start_len, (0, 0), [u], [])  # (0, 0) is below every label
+    for perms, labels, _ in walk_increasing(u, length(w)):
+        if perms[-1] == w:
+            yield LabeledChain(tuple(perms), tuple(labels))
 
 
 def increasing_chains_to_w0(w: Perm) -> Iterator[LabeledChain]:
@@ -160,7 +172,10 @@ def count_by_type(u: Perm, w: Perm, alpha: Sequence[int]) -> int:
 
 def type_counts(u: Perm, w: Perm) -> Counter:
     """Counter of chain types over all increasing chains from u to w."""
-    return Counter(chain_monomial(c) for c in increasing_chains(u, w))
+    if len(u) != len(w):
+        raise ValueError("size mismatch")
+    return Counter(tuple(gamma) for perms, _, gamma in walk_increasing(u, length(w))
+                   if perms[-1] == w)
 
 
 def padded_type(alpha: Sequence[int], n: int) -> Composition:

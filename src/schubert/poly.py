@@ -119,9 +119,6 @@ class Poly:
         """Smallest k with all monomials in x_1..x_k."""
         return max((len(m) for m in self._terms), default=0)
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self._terms), default=0)
-
     def is_zero(self) -> bool:
         return not self._terms
 

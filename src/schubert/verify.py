@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .calc import (
     SchubertExpansion,
+    corollary_sides,
     expand_in_schubert_basis,
     pieri,
     psi_alpha,
@@ -22,7 +23,7 @@ from .calc import (
     skew,
     skew_expansion,
 )
-from .chains import chain_monomial, increasing_chains_to_w0, type_counts
+from .chains import chain_monomial, increasing_chains_to_w0, walk_increasing
 from .perms import Perm, all_perms, bruhat_leq, length, longest, perm_to_str
 from .poly import Poly, complete_h, normal_form
 from .rcgraphs import chain_of_rcgraph, enumerate_rcgraphs, monomial, rcgraph_of_chain
@@ -51,9 +52,15 @@ class Report:
 
 
 def run_suite(suite: str, n: int = 4, seed: int = 0) -> Report:
+    """Run one suite; an exception in the checked code fails it, after the checks so far."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    return _SUITES[suite](n, seed)
+    rep = Report(suite, n, seed)
+    try:
+        _SUITES[suite](rep)
+    except Exception as exc:
+        rep.failures.append(f"{suite}: {type(exc).__name__}: {exc}")
+    return rep
 
 
 def _comparable_pairs(n: int) -> list[tuple[Perm, Perm]]:
@@ -61,9 +68,9 @@ def _comparable_pairs(n: int) -> list[tuple[Perm, Perm]]:
     return [(u, w) for u in all_perms(n) for w in all_perms(n) if bruhat_leq(u, w)]
 
 
-def suite_bijection(n: int, seed: int = 0) -> Report:
+def suite_bijection(rep: Report) -> None:
     """Chains to w0 and rc-graphs are inverse bijections exchanging weights."""
-    rep = Report("bijection", n, seed)
+    n = rep.n
     delta = tuple(range(n - 1, -1, -1))
 
     def complementary(graph, chain) -> bool:  # x^R * x^gamma == x^delta
@@ -89,7 +96,6 @@ def suite_bijection(n: int, seed: int = 0) -> Report:
                      f"{perm_to_str(w)}: chain round trip failed")
             rep.note(complementary(graph, chain),
                      f"{perm_to_str(w)}: rc-graph and chain listed together differ")
-    return rep
 
 
 # seeded pairs suite_routes draws above S_4; the largest a and k suite_pieri checks
@@ -97,13 +103,13 @@ ROUTE_SAMPLES = 100
 PIERI_MAX_A = PIERI_MAX_K = 3
 
 
-def suite_routes(n: int, seed: int = 0) -> Report:
+def suite_routes(rep: Report) -> None:
     """The three skew routes agree; exhaustive for n <= 4, sampled above."""
-    rep = Report("routes", n, seed)
+    n = rep.n
     if n <= 4:
         pairs = _comparable_pairs(n)
     else:
-        rng = random.Random(seed)
+        rng = random.Random(rep.seed)
         perms = list(all_perms(n))
         pairs = []
         while len(pairs) < ROUTE_SAMPLES:
@@ -117,30 +123,24 @@ def suite_routes(n: int, seed: int = 0) -> Report:
         c = skew(w, u, n, method="lr")
         rep.note(a == b and b == c,
                  f"skew({perm_to_str(w)}/{perm_to_str(u)}) routes disagree")
-    return rep
 
 
-def suite_corollary(n: int, seed: int = 0) -> Report:
-    """I_alpha(u, w) == sum_v c^w_{u,v} I_alpha(w0 v, w0), all types at once."""
-    rep = Report("corollary", n, seed)
-    w0 = longest(n)
-    to_w0: dict[Perm, Counter] = {}
+def suite_corollary(rep: Report) -> None:
+    """I_alpha(u, w) == sum_v c^w_{u,v} I_alpha(w0 v, w0); one walk per u gives every I."""
+    n = rep.n
+    ends: dict[Perm, dict[Perm, Counter]] = {u: {} for u in all_perms(n)}
+    for u, table in ends.items():
+        for perms, _, gamma in walk_increasing(u, length(longest(n))):
+            table.setdefault(perms[-1], Counter())[tuple(gamma)] += 1
     for u, w in _comparable_pairs(n):
-        lhs = type_counts(u, w)
-        rhs: Counter = Counter()
-        for z, c in skew_expansion(w, u, n).terms.items():
-            if z not in to_w0:
-                to_w0[z] = type_counts(z, w0)
-            for alpha, cnt in to_w0[z].items():
-                rhs[alpha] += c * cnt
+        lhs, rhs = corollary_sides(u, w, skew_expansion(w, u, n), lambda p, q: ends[p][q])
         rep.note(lhs == rhs,
                  f"type counts differ for ({perm_to_str(u)}, {perm_to_str(w)})")
-    return rep
 
 
-def suite_pieri(n: int, seed: int = 0) -> Report:
+def suite_pieri(rep: Report) -> None:
     """Chain-route Pieri equals the polynomial route; psi matches both reads."""
-    rep = Report("pieri", n, seed)
+    n = rep.n
     for u in all_perms(n):
         for k in range(1, min(PIERI_MAX_K, n - 1) + 1):
             for a in range(0, PIERI_MAX_A + 1):
@@ -157,25 +157,22 @@ def suite_pieri(n: int, seed: int = 0) -> Report:
             rhs = psi_alpha_normal_form(f, alpha, n)
             rep.note(lhs == rhs,
                      f"psi_{alpha}(S_{perm_to_str(w)}): {lhs} != {rhs}")
-    return rep
 
 
-def suite_stability(n: int, seed: int = 0) -> Report:
+def suite_stability(rep: Report) -> None:
     """
     Skew polynomials for pairs in S_3, embedded into each S_m up to n + 1,
     satisfy skew_{m+1} == skew_m * x_1 ... x_m.
     """
-    rep = Report("stability", n, seed)
     base = 3
     pairs = _comparable_pairs(base)
-    for m in range(base, n + 1):
+    for m in range(base, rep.n + 1):
         shift = Poly.monomial((1,) * m)
         for u, w in pairs:
             small = skew(w, u, m)
             big = skew(w, u, m + 1)
             rep.note(small * shift == big,
                      f"stability fails for ({perm_to_str(u)}, {perm_to_str(w)}) at {m}")
-    return rep
 
 
 _SUITES = {

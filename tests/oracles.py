@@ -3,6 +3,7 @@ Independent brute-force oracles.  Everything here is deliberately naive and
 shares no code path with the implementations it checks.
 """
 
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations
 
 from schubert.perms import Perm
@@ -31,6 +32,36 @@ def cover_graph(n: int) -> dict[Perm, set[Perm]]:
                 if inversion_count(v) == lu + 1:
                     succ[u].add(v)
     return succ
+
+
+def brute_force_type_counts(u: Perm, w: Perm) -> Counter:
+    """
+    The types of the increasing chains from u to w, by a plain search of the
+    cover graph.  The labels of a cover are worked out from the two swapped
+    positions i < j: (k, u(i)) for every i <= k < j, 1-indexed.
+    """
+    n = len(u)
+    succ = cover_graph(n)
+    top = inversion_count(w)
+    counts: Counter = Counter()
+    gamma = [0] * (n - 1)
+
+    def extend(p, last):
+        if p == w:
+            counts[tuple(gamma)] += 1
+        if inversion_count(p) >= top:
+            return
+        for q in succ[p]:
+            i, j = [pos for pos in range(n) if p[pos] != q[pos]]
+            for k in range(i + 1, j + 1):
+                label = (k, p[i])
+                if label > last:
+                    gamma[k - 1] += 1
+                    extend(q, label)
+                    gamma[k - 1] -= 1
+
+    extend(u, (0, 0))
+    return counts
 
 
 def bruhat_reachable(n: int) -> dict[Perm, set[Perm]]:

@@ -63,9 +63,10 @@ def test_criterion_03_route_equivalence():
 
 
 def test_criterion_04_corollary_identity():
-    pairs = passing_checks("corollary", 4)
-    assert pairs == 213
-    report(4, f"chain-count identity on {pairs} Bruhat pairs of S_4, all types")
+    pairs = [passing_checks("corollary", n) for n in (4, 5)]
+    assert pairs == [213, 3781]
+    report(4, f"chain-count identity on {pairs[0]} Bruhat pairs of S_4 and "
+              f"{pairs[1]} of S_5, all types")
 
 
 def test_criterion_05_pieri_and_psi():

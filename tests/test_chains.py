@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from schubert.chains import (
     increasing_chains,
     increasing_chains_to_w0,
     type_counts,
+    walk_increasing,
 )
 from schubert.perms import all_perms, labeled_edges, length, longest
 
@@ -123,6 +125,25 @@ def test_count_by_type():
     counts = type_counts(u, w0)
     assert sum(counts.values()) == len(list(increasing_chains(u, w0)))
     assert counts[(1, 2, 0)] == 1
+
+
+def test_one_walk_gives_type_counts_for_every_end():
+    from oracles import brute_force_type_counts
+
+    for u in all_perms(4):
+        ends = {}
+        for perms, _, gamma in walk_increasing(u, length(longest(4))):
+            ends.setdefault(perms[-1], Counter())[tuple(gamma)] += 1
+        for w in all_perms(4):
+            assert ends.get(w, Counter()) == brute_force_type_counts(u, w), (u, w)
+
+
+def test_walk_stops_at_top_and_below_start():
+    u = (1, 3, 2, 4)
+    assert [perms[-1] for perms, _, _ in walk_increasing(u, 1)] == [u]
+    assert list(walk_increasing(u, 0)) == []
+    ends = [len(perms) for perms, _, _ in walk_increasing(u, 3)]
+    assert max(ends) == 3 and ends[0] == 1
 
 
 def test_type_partition_of_total():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from schubert.calc import skew_expansion
 from schubert.chains import chain_from_json_obj, count_by_type
 from schubert.cli import load_lr_table, main
 from schubert.perms import all_perms, perm_to_str
@@ -248,6 +249,38 @@ def test_verify_all_small(capsys):
         "pieri: PASS (84 checks)",
         "stability: PASS (19 checks)",
     ]
+
+
+def test_verify_suite_that_raises_fails_and_later_suites_run(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("schubert.verify.skew_expansion", broken)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--n", "3")
+    assert code == 1
+    assert out.splitlines() == [
+        "bijection: PASS (40 checks)",
+        "routes: PASS (19 checks)",
+        "corollary: FAIL (0 checks)",
+        "pieri: PASS (84 checks)",
+        "stability: PASS (19 checks)",
+    ]
+    assert "corollary: RuntimeError: boom" in err
+
+
+def test_run_suite_keeps_checks_counted_before_an_exception(monkeypatch):
+    calls = []
+
+    def fails_on_third(w, u, n):
+        calls.append((w, u))
+        if len(calls) == 3:
+            raise ValueError("third pair")
+        return skew_expansion(w, u, n)
+
+    monkeypatch.setattr("schubert.verify.skew_expansion", fails_on_third)
+    rep = run_suite("corollary", 3)
+    assert rep.status == "FAIL" and rep.checks == 2
+    assert rep.failures == ["corollary: ValueError: third pair"]
 
 
 def test_report_status():
