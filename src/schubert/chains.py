@@ -10,21 +10,31 @@ labels strictly increase in lexicographic order.
 
 The generic walk goes up from u over the covers whose label exceeds the
 last one; each node it reaches ends one increasing chain from u, so one
-walk gives the chains from u to every w, with their types.  Chains ending
-at the longest permutation admit a much better search: the branches below
-a node u all swap the same position k, the minimal one with u(k) + k < n + 1,
-paired with every l > k that yields a cover.  That tree has one leaf per
-chain and its depth equals the number of steps, so the whole of
-Gamma(w, w0) costs O(n * l * c) where l is the number of steps and c the
-number of chains.  Both walks keep all state on their own stack;
-independent traversals can run concurrently.
+walk gives the chains from u to every w, with their types.
+
+For one pair (u, w) the searches stay near the interval [u, w]: a cover v
+with r steps left to w is kept only if it differs from w in at most 2r
+positions, and at the last step only w itself is kept.  type_counts is a
+recursion over (node, last label) whose memo holds the types of the chains
+from the node to w with every label above the last one, so each node's
+types are counted once, not once per chain through it.
+
+Chains ending at the longest permutation admit a much better search: the
+branches below a node u all swap the same position k, the minimal one with
+u(k) + k < n + 1, paired with every l > k that yields a cover.  That tree
+has one leaf per chain and its depth equals the number of steps, so the
+whole of Gamma(w, w0) costs O(n * l * c) where l is the number of steps and
+c the number of chains.  Every search keeps its state on its own stack or
+in a memo that lives for one call; independent traversals can run
+concurrently.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from operator import ne
 from typing import Iterator
 
 from .perms import (
@@ -101,10 +111,17 @@ def walk_increasing(u: Perm, top: int) -> Iterator[tuple[list[Perm], list[Label]
     A node comes before the nodes above it, in lexicographic label order.
     The lists are the walk's own stack, changed by its next step.
     """
+    return _walk(u, top, lambda p, plen, last: labeled_covers(p, last))
+
+
+def _walk(
+    u: Perm, top: int, covers: Callable[[Perm, int, Label], list[tuple[Label, Perm]]]
+) -> Iterator[tuple[list[Perm], list[Label], list[int]]]:
+    """walk_increasing over the labeled covers (lab, v) that covers(p, plen, last) lists."""
     perms, labels, gamma = node = [u], [], [0] * (len(u) - 1)
 
     def above(p: Perm, plen: int, last: Label):
-        for lab, v in labeled_covers(p, last):
+        for lab, v in covers(p, plen, last):
             perms.append(v)
             labels.append(lab)
             gamma[lab[0] - 1] += 1
@@ -122,15 +139,37 @@ def walk_increasing(u: Perm, top: int) -> Iterator[tuple[list[Perm], list[Label]
         yield from above(u, start, (0, 0))  # (0, 0) is below every label
 
 
+def _covers_toward(p: Perm, w: Perm, gap: int) -> list[tuple[Label, Perm]]:
+    """
+    The labeled covers (lab, v) of p, in the order of labeled_covers, that
+    pass a cheap test for v <= w, where gap = length(w) - length(p) >= 1.
+    A v <= w with r = gap - 1 steps to go is r transpositions below w, so it
+    differs from w in at most 2r positions; at the last step that leaves
+    only w itself.  The test is necessary, not sufficient: a cover that
+    passes may still not reach w, and bruhat_leq, which would decide it,
+    costs more than the covers it saves.
+    """
+    if gap == 1:
+        return [(lab, v) for lab, v in labeled_covers(p) if v == w]
+    bound = 2 * (gap - 1)
+    return [(lab, v) for lab, v in labeled_covers(p) if sum(map(ne, v, w)) <= bound]
+
+
 def increasing_chains(u: Perm, w: Perm) -> Iterator[LabeledChain]:
     """
     Every increasing chain from u to w, each exactly once, in lexicographic
     order of the label sequence.  Empty when u is not below w; the single
-    empty chain when u == w.
+    empty chain when u == w.  The walk skips covers that fail the interval
+    test of _covers_toward, so chains that end elsewhere cost little.
     """
     if len(u) != len(w):
         raise ValueError("size mismatch")
-    for perms, labels, _ in walk_increasing(u, length(w)):
+    top = length(w)
+
+    def toward(p: Perm, plen: int, last: Label) -> list[tuple[Label, Perm]]:
+        return [(lab, v) for lab, v in _covers_toward(p, w, top - plen) if lab > last]
+
+    for perms, labels, _ in _walk(u, top, toward):
         if perms[-1] == w:
             yield LabeledChain(tuple(perms), tuple(labels))
 
@@ -171,11 +210,44 @@ def count_by_type(u: Perm, w: Perm, alpha: Sequence[int]) -> int:
 
 
 def type_counts(u: Perm, w: Perm) -> Counter:
-    """Counter of chain types over all increasing chains from u to w."""
+    """
+    Counter of chain types over all increasing chains from u to w.
+
+    A memoized recursion over the interval [u, w]: the entry for (p, last)
+    maps each type of a chain from p to w whose labels all lie above last
+    to the number of such chains, so a node's types are counted once, not
+    once per chain through it.  Each node's covers toward w are found once
+    and serve every last label.  Both dicts live for one call.
+    """
     if len(u) != len(w):
         raise ValueError("size mismatch")
-    return Counter(tuple(gamma) for perms, _, gamma in walk_increasing(u, length(w))
-                   if perms[-1] == w)
+    top = length(w)
+    zero = (0,) * (len(u) - 1)
+    memo: dict[tuple[Perm, Label], dict[Composition, int]] = {}
+    near: dict[Perm, list[tuple[Label, Perm]]] = {}
+
+    def suffixes(p: Perm, plen: int, last: Label) -> dict[Composition, int]:
+        if (covers := near.get(p)) is None:
+            covers = near[p] = _covers_toward(p, w, top - plen)
+        out: dict[Composition, int] = {}
+        for lab, v in covers:
+            if lab <= last:
+                continue
+            row = lab[0] - 1
+            if v == w:
+                below = {zero: 1}
+            elif (below := memo.get((v, lab))) is None:
+                below = memo[v, lab] = suffixes(v, plen + 1, lab)
+            for gamma, c in below.items():
+                gamma = gamma[:row] + (gamma[row] + 1,) + gamma[row + 1:]
+                out[gamma] = out.get(gamma, 0) + c
+        return out
+
+    if u == w:
+        return Counter({zero: 1})
+    if length(u) >= top:
+        return Counter()
+    return Counter(suffixes(u, length(u), (0, 0)))
 
 
 def padded_type(alpha: Sequence[int], n: int) -> Composition:

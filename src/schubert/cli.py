@@ -208,6 +208,8 @@ def cmd_chains(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ValueError("--n must be at least 1")
     suites = SUITES if args.suite == "all" else (args.suite,)
     all_ok = True
     for suite in suites:

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schubert.chains import (
     LabeledChain,
@@ -16,7 +17,7 @@ from schubert.chains import (
     type_counts,
     walk_increasing,
 )
-from schubert.perms import all_perms, labeled_edges, length, longest
+from schubert.perms import all_perms, bruhat_covers, labeled_edges, length, longest
 
 CHAIN_1432 = LabeledChain(
     perms=((1, 4, 3, 2), (4, 1, 3, 2), (4, 2, 3, 1), (4, 3, 2, 1)),
@@ -135,7 +136,44 @@ def test_one_walk_gives_type_counts_for_every_end():
         for perms, _, gamma in walk_increasing(u, length(longest(4))):
             ends.setdefault(perms[-1], Counter())[tuple(gamma)] += 1
         for w in all_perms(4):
-            assert ends.get(w, Counter()) == brute_force_type_counts(u, w), (u, w)
+            expected = brute_force_type_counts(u, w)
+            assert ends.get(w, Counter()) == expected, (u, w)
+            assert type_counts(u, w) == expected, (u, w)
+
+
+def walk_ends(u, top):
+    """The walk from u grouped by end: each end's Counter of types and its chains in walk order."""
+    ends = {}
+    for perms, labels, gamma in walk_increasing(u, top):
+        types, chains = ends.setdefault(perms[-1], (Counter(), []))
+        types[tuple(gamma)] += 1
+        chains.append(LabeledChain(tuple(perms), tuple(labels)))
+    return ends
+
+
+def test_interval_searches_match_the_walk_from_u_on_s5():
+    # all 14400 ordered pairs: an incomparable pair has no chain, u == w the empty one
+    for u in all_perms(5):
+        ends = walk_ends(u, length(longest(5)))
+        for w in all_perms(5):
+            types, chains = ends.get(w, (Counter(), []))
+            assert type_counts(u, w) == types, (u, w)
+            assert list(increasing_chains(u, w)) == chains, (u, w)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_interval_searches_match_the_walk_on_random_climbs(data):
+    n = data.draw(st.sampled_from([6, 7]))
+    u = w = tuple(data.draw(st.permutations(range(1, n + 1))))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=5))):
+        covers = bruhat_covers(w)
+        if not covers:
+            break
+        w = data.draw(st.sampled_from(covers))[0]
+    types, chains = walk_ends(u, length(w)).get(w, (Counter(), []))
+    assert type_counts(u, w) == types
+    assert list(increasing_chains(u, w)) == chains
 
 
 def test_walk_stops_at_top_and_below_start():

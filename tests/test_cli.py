@@ -251,6 +251,14 @@ def test_verify_all_small(capsys):
     ]
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_verify_rejects_n_below_one(capsys, n):
+    code, out, err = run(capsys, "verify", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --n must be at least 1\n"
+
+
 def test_verify_suite_that_raises_fails_and_later_suites_run(capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("boom")
