@@ -274,7 +274,7 @@ def corollary_sides(u: Perm, w: Perm, expansion: SchubertExpansion,
     """
     Both sides of I_alpha(u, w) == sum_v c^w_{u,v} * I_alpha(w0 v, w0) for
     every alpha, with c from the skew expansion of w over u and counts(p, q)
-    the Counter of types of the increasing chains from p to q.
+    mapping each type of an increasing chain from p to q to its count.
     """
     w0 = longest(expansion.n)
     rhs: Counter = Counter()

@@ -8,16 +8,15 @@ both the swap of positions (1,2) and of (1,3) carry the label (1,1)), so
 labels alone do not pin down the walk.  A chain is *increasing* when its
 labels strictly increase in lexicographic order.
 
-The generic walk goes up from u over the covers whose label exceeds the
-last one; each node it reaches ends one increasing chain from u, so one
-walk gives the chains from u to every w, with their types.
-
-For one pair (u, w) the searches stay near the interval [u, w]: a cover v
-with r steps left to w is kept only if it differs from w in at most 2r
-positions, and at the last step only w itself is kept.  type_counts is a
-recursion over (node, last label) whose memo holds the types of the chains
-from the node to w with every label above the last one, so each node's
-types are counted once, not once per chain through it.
+All questions about the chains that end at one w are answered by one
+search, search_toward(w), shared by every start u.  It is a recursion over
+(node, last label) whose memo holds the types of the chains from the node
+to w with every label above the last one, so each node's types are counted
+once, not once per chain through it.  It stays near the interval [u, w]: a
+cover v with r steps left to w is kept only if it differs from w in at
+most 2r positions, and at the last step only w itself is kept.
+type_counts reads the memo entry of u; increasing_chains then walks the
+covers the search found, entering only nodes whose entry is non-empty.
 
 Chains ending at the longest permutation admit a much better search: the
 branches below a node u all swap the same position k, the minimal one with
@@ -25,14 +24,14 @@ u(k) + k < n + 1, paired with every l > k that yields a cover.  That tree
 has one leaf per chain and its depth equals the number of steps, so the
 whole of Gamma(w, w0) costs O(n * l * c) where l is the number of steps and
 c the number of chains.  Every search keeps its state on its own stack or
-in a memo that lives for one call; independent traversals can run
-concurrently.
+in a memo owned by its caller, never at module level; independent
+traversals can run concurrently.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from operator import ne
 from typing import Iterator
@@ -104,41 +103,6 @@ def chain_monomial(chain: LabeledChain) -> Composition:
     return cell_type(chain.labels, chain.n)
 
 
-def walk_increasing(u: Perm, top: int) -> Iterator[tuple[list[Perm], list[Label], list[int]]]:
-    """
-    Walk the increasing chains from u up to Bruhat length top, yielding
-    (perms, labels, gamma) at each node: the chain from u to it and its type.
-    A node comes before the nodes above it, in lexicographic label order.
-    The lists are the walk's own stack, changed by its next step.
-    """
-    return _walk(u, top, lambda p, plen, last: labeled_covers(p, last))
-
-
-def _walk(
-    u: Perm, top: int, covers: Callable[[Perm, int, Label], list[tuple[Label, Perm]]]
-) -> Iterator[tuple[list[Perm], list[Label], list[int]]]:
-    """walk_increasing over the labeled covers (lab, v) that covers(p, plen, last) lists."""
-    perms, labels, gamma = node = [u], [], [0] * (len(u) - 1)
-
-    def above(p: Perm, plen: int, last: Label):
-        for lab, v in covers(p, plen, last):
-            perms.append(v)
-            labels.append(lab)
-            gamma[lab[0] - 1] += 1
-            yield node
-            if plen + 1 < top:  # a node at length top costs no call
-                yield from above(v, plen + 1, lab)
-            perms.pop()
-            labels.pop()
-            gamma[lab[0] - 1] -= 1
-
-    start = length(u)
-    if start <= top:
-        yield node
-    if start < top:
-        yield from above(u, start, (0, 0))  # (0, 0) is below every label
-
-
 def _covers_toward(p: Perm, w: Perm, gap: int) -> list[tuple[Label, Perm]]:
     """
     The labeled covers (lab, v) of p, in the order of labeled_covers, that
@@ -155,23 +119,86 @@ def _covers_toward(p: Perm, w: Perm, gap: int) -> list[tuple[Label, Perm]]:
     return [(lab, v) for lab, v in labeled_covers(p) if sum(map(ne, v, w)) <= bound]
 
 
+def search_toward(w: Perm):
+    """
+    One memoized search for the increasing chains that end at w, shared by
+    every start.  Returns (types, near): types(p, last=(0, 0)) maps each type
+    of a chain from p to w with every label above last to its number of
+    chains, and near maps each node entered to its covers toward w, in the
+    order of labeled_covers.  The memo is keyed by (node, last label), so a
+    node's types are counted once, not once per chain through it, and its
+    covers are found once.  The gap to w goes down the recursion, so length
+    runs once per start.  The dicts types returns belong to the memo: copy
+    one before changing it.
+    """
+    top = length(w)
+    unit = {(0,) * (len(w) - 1): 1}  # the types of the empty chain at w
+    memo: dict[tuple[Perm, Label], dict[Composition, int]] = {}
+    near: dict[Perm, list[tuple[Label, Perm]]] = {}
+
+    def suffixes(p: Perm, gap: int, last: Label) -> dict[Composition, int]:
+        if (covers := near.get(p)) is None:
+            covers = near[p] = _covers_toward(p, w, gap)
+        out: dict[Composition, int] = {}
+        for lab, v in covers:
+            if lab <= last:
+                continue
+            row = lab[0] - 1
+            if v == w:
+                below = unit
+            elif (below := memo.get((v, lab))) is None:
+                below = memo[v, lab] = suffixes(v, gap - 1, lab)
+            for gamma, c in below.items():
+                gamma = gamma[:row] + (gamma[row] + 1,) + gamma[row + 1:]
+                out[gamma] = out.get(gamma, 0) + c
+        return out
+
+    def types(p: Perm, last: Label = (0, 0)) -> dict[Composition, int]:
+        if (got := memo.get((p, last))) is None:
+            if len(p) != len(w):
+                raise ValueError("size mismatch")
+            if p == w:
+                return unit
+            gap = top - length(p)
+            got = memo[p, last] = suffixes(p, gap, last) if gap > 0 else {}
+        return got
+
+    return types, near
+
+
 def increasing_chains(u: Perm, w: Perm) -> Iterator[LabeledChain]:
     """
     Every increasing chain from u to w, each exactly once, in lexicographic
     order of the label sequence.  Empty when u is not below w; the single
-    empty chain when u == w.  The walk skips covers that fail the interval
-    test of _covers_toward, so chains that end elsewhere cost little.
+    empty chain when u == w.  After search_toward(w) has counted the types
+    from u, the walk takes only the covers whose memo entry is non-empty,
+    so every node it enters lies on a chain to w.  From 1432 to 4321:
+
+    >>> for chain in increasing_chains((1, 4, 3, 2), (4, 3, 2, 1)):
+    ...     print(chain.labels, chain_monomial(chain))
+    ((1, 1), (1, 2), (1, 3)) (3, 0, 0)
+    ((1, 1), (1, 2), (2, 2)) (2, 1, 0)
+    ((1, 1), (1, 3), (3, 1)) (2, 0, 1)
+    ((1, 1), (2, 1), (2, 2)) (1, 2, 0)
+    ((1, 1), (2, 1), (3, 1)) (1, 1, 1)
     """
-    if len(u) != len(w):
-        raise ValueError("size mismatch")
-    top = length(w)
+    types, near = search_toward(w)
+    perms, labels = [u], []
 
-    def toward(p: Perm, plen: int, last: Label) -> list[tuple[Label, Perm]]:
-        return [(lab, v) for lab, v in _covers_toward(p, w, top - plen) if lab > last]
-
-    for perms, labels, _ in _walk(u, top, toward):
-        if perms[-1] == w:
+    def above(p: Perm, last: Label) -> Iterator[LabeledChain]:
+        if p == w:
             yield LabeledChain(tuple(perms), tuple(labels))
+            return
+        for lab, v in near[p]:
+            if lab > last and types(v, lab):
+                perms.append(v)
+                labels.append(lab)
+                yield from above(v, lab)
+                perms.pop()
+                labels.pop()
+
+    if types(u):
+        yield from above(u, (0, 0))
 
 
 def increasing_chains_to_w0(w: Perm) -> Iterator[LabeledChain]:
@@ -211,43 +238,11 @@ def count_by_type(u: Perm, w: Perm, alpha: Sequence[int]) -> int:
 
 def type_counts(u: Perm, w: Perm) -> Counter:
     """
-    Counter of chain types over all increasing chains from u to w.
-
-    A memoized recursion over the interval [u, w]: the entry for (p, last)
-    maps each type of a chain from p to w whose labels all lie above last
-    to the number of such chains, so a node's types are counted once, not
-    once per chain through it.  Each node's covers toward w are found once
-    and serve every last label.  Both dicts live for one call.
+    Counter of chain types over all increasing chains from u to w, read
+    from one search_toward(w).
     """
-    if len(u) != len(w):
-        raise ValueError("size mismatch")
-    top = length(w)
-    zero = (0,) * (len(u) - 1)
-    memo: dict[tuple[Perm, Label], dict[Composition, int]] = {}
-    near: dict[Perm, list[tuple[Label, Perm]]] = {}
-
-    def suffixes(p: Perm, plen: int, last: Label) -> dict[Composition, int]:
-        if (covers := near.get(p)) is None:
-            covers = near[p] = _covers_toward(p, w, top - plen)
-        out: dict[Composition, int] = {}
-        for lab, v in covers:
-            if lab <= last:
-                continue
-            row = lab[0] - 1
-            if v == w:
-                below = {zero: 1}
-            elif (below := memo.get((v, lab))) is None:
-                below = memo[v, lab] = suffixes(v, plen + 1, lab)
-            for gamma, c in below.items():
-                gamma = gamma[:row] + (gamma[row] + 1,) + gamma[row + 1:]
-                out[gamma] = out.get(gamma, 0) + c
-        return out
-
-    if u == w:
-        return Counter({zero: 1})
-    if length(u) >= top:
-        return Counter()
-    return Counter(suffixes(u, length(u), (0, 0)))
+    types, _ = search_toward(w)
+    return Counter(types(u))
 
 
 def padded_type(alpha: Sequence[int], n: int) -> Composition:

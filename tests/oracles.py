@@ -4,6 +4,7 @@ shares no code path with the implementations it checks.
 """
 
 from collections import Counter
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
 
 from schubert.perms import Perm
@@ -18,8 +19,9 @@ def inversion_count(w) -> int:
     return count
 
 
+@cache
 def cover_graph(n: int) -> dict[Perm, set[Perm]]:
-    """Successor sets of the Bruhat cover relation, built from scratch."""
+    """Successor sets of the Bruhat cover relation, built once per n and shared by callers."""
     succ: dict[Perm, set[Perm]] = {}
     for u in permutations(range(1, n + 1)):
         lu = inversion_count(u)
@@ -34,34 +36,48 @@ def cover_graph(n: int) -> dict[Perm, set[Perm]]:
     return succ
 
 
-def brute_force_type_counts(u: Perm, w: Perm) -> Counter:
+def brute_force_chains(u: Perm, top: int):
     """
-    The types of the increasing chains from u to w, by a plain search of the
-    cover graph.  The labels of a cover are worked out from the two swapped
-    positions i < j: (k, u(i)) for every i <= k < j, 1-indexed.
+    Every increasing chain from u whose end has length at most top, as
+    (perms, labels), by a plain search of the cover graph.  The labels of a
+    cover are worked out from the two swapped positions i < j: (k, u(i))
+    for every i <= k < j, 1-indexed.  The steps out of a node are taken in
+    sorted (label, perm) order, so the chains to one end come in
+    lexicographic order of their label sequences.
     """
     n = len(u)
     succ = cover_graph(n)
-    top = inversion_count(w)
-    counts: Counter = Counter()
-    gamma = [0] * (n - 1)
+    perms, labels = [u], []
 
-    def extend(p, last):
-        if p == w:
-            counts[tuple(gamma)] += 1
+    def extend(p):
+        yield tuple(perms), tuple(labels)
         if inversion_count(p) >= top:
             return
+        steps = []
         for q in succ[p]:
             i, j = [pos for pos in range(n) if p[pos] != q[pos]]
-            for k in range(i + 1, j + 1):
-                label = (k, p[i])
-                if label > last:
-                    gamma[k - 1] += 1
-                    extend(q, label)
-                    gamma[k - 1] -= 1
+            steps += [((k, p[i]), q) for k in range(i + 1, j + 1)]
+        for label, q in sorted(steps):
+            if not labels or label > labels[-1]:
+                perms.append(q)
+                labels.append(label)
+                yield from extend(q)
+                perms.pop()
+                labels.pop()
 
-    extend(u, (0, 0))
-    return counts
+    yield from extend(u)
+
+
+def chain_type(labels, n: int) -> tuple[int, ...]:
+    """Entry k - 1 counts the labels (k, b) of a chain in S_n."""
+    return tuple(sum(1 for k, _ in labels if k == row) for row in range(1, n))
+
+
+def brute_force_type_counts(u: Perm, w: Perm) -> Counter:
+    """The types of the increasing chains from u to w, from brute_force_chains."""
+    return Counter(chain_type(labels, len(u))
+                   for perms, labels in brute_force_chains(u, inversion_count(w))
+                   if perms[-1] == w)
 
 
 def bruhat_reachable(n: int) -> dict[Perm, set[Perm]]:

@@ -14,10 +14,12 @@ from schubert.chains import (
     count_by_type,
     increasing_chains,
     increasing_chains_to_w0,
+    search_toward,
     type_counts,
-    walk_increasing,
 )
 from schubert.perms import all_perms, bruhat_covers, labeled_edges, length, longest
+
+from oracles import brute_force_chains, brute_force_rcgraphs, brute_force_type_counts, chain_type
 
 CHAIN_1432 = LabeledChain(
     perms=((1, 4, 3, 2), (4, 1, 3, 2), (4, 2, 3, 1), (4, 3, 2, 1)),
@@ -89,8 +91,6 @@ def test_to_w0_trivial_cases():
 
 
 def test_to_w0_count_matches_brute_force_rcgraphs():
-    from oracles import brute_force_rcgraphs
-
     for w in [(1, 4, 3, 2), (2, 1, 4, 3), (3, 1, 2, 4)]:
         assert len(list(increasing_chains_to_w0(w))) == len(brute_force_rcgraphs(w))
 
@@ -128,33 +128,31 @@ def test_count_by_type():
     assert counts[(1, 2, 0)] == 1
 
 
-def test_one_walk_gives_type_counts_for_every_end():
-    from oracles import brute_force_type_counts
-
-    for u in all_perms(4):
-        ends = {}
-        for perms, _, gamma in walk_increasing(u, length(longest(4))):
-            ends.setdefault(perms[-1], Counter())[tuple(gamma)] += 1
-        for w in all_perms(4):
+def test_one_search_toward_w_serves_every_start_on_s4():
+    for w in all_perms(4):
+        types, near = search_toward(w)
+        for u in all_perms(4):
             expected = brute_force_type_counts(u, w)
-            assert ends.get(w, Counter()) == expected, (u, w)
+            assert Counter(types(u)) == expected, (u, w)
             assert type_counts(u, w) == expected, (u, w)
+        # the search never enters a node at or past the length of w
+        assert all(length(p) < length(w) for p in near), w
 
 
-def walk_ends(u, top):
-    """The walk from u grouped by end: each end's Counter of types and its chains in walk order."""
+def oracle_ends(u, top):
+    """The oracle's chains from u grouped by end: each end's types and its chains in order."""
     ends = {}
-    for perms, labels, gamma in walk_increasing(u, top):
+    for perms, labels in brute_force_chains(u, top):
         types, chains = ends.setdefault(perms[-1], (Counter(), []))
-        types[tuple(gamma)] += 1
-        chains.append(LabeledChain(tuple(perms), tuple(labels)))
+        types[chain_type(labels, len(u))] += 1
+        chains.append(LabeledChain(perms, labels))
     return ends
 
 
 def test_interval_searches_match_the_walk_from_u_on_s5():
     # all 14400 ordered pairs: an incomparable pair has no chain, u == w the empty one
     for u in all_perms(5):
-        ends = walk_ends(u, length(longest(5)))
+        ends = oracle_ends(u, length(longest(5)))
         for w in all_perms(5):
             types, chains = ends.get(w, (Counter(), []))
             assert type_counts(u, w) == types, (u, w)
@@ -171,17 +169,9 @@ def test_interval_searches_match_the_walk_on_random_climbs(data):
         if not covers:
             break
         w = data.draw(st.sampled_from(covers))[0]
-    types, chains = walk_ends(u, length(w)).get(w, (Counter(), []))
+    types, chains = oracle_ends(u, length(w)).get(w, (Counter(), []))
     assert type_counts(u, w) == types
     assert list(increasing_chains(u, w)) == chains
-
-
-def test_walk_stops_at_top_and_below_start():
-    u = (1, 3, 2, 4)
-    assert [perms[-1] for perms, _, _ in walk_increasing(u, 1)] == [u]
-    assert list(walk_increasing(u, 0)) == []
-    ends = [len(perms) for perms, _, _ in walk_increasing(u, 3)]
-    assert max(ends) == 3 and ends[0] == 1
 
 
 def test_type_partition_of_total():

@@ -8,7 +8,7 @@ from schubert.cli import load_lr_table, main
 from schubert.perms import all_perms, perm_to_str
 from schubert.poly import poly_from_json_obj
 from schubert.rcgraphs import rcgraph_from_json_obj
-from schubert.verify import Report, run_suite
+from schubert.verify import SUITES, Report, run_suite
 
 
 def run(capsys, *argv):
@@ -303,3 +303,10 @@ def test_report_status():
 def test_run_suite_rejects_unknown():
     with pytest.raises(ValueError):
         run_suite("nonsense", 3)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("n", [0, -1])
+def test_run_suite_rejects_n_below_one(suite, n):
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        run_suite(suite, n)

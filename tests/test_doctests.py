@@ -2,12 +2,14 @@ import doctest
 
 import pytest
 
+import schubert.chains
 import schubert.perms
 import schubert.poly
 import schubert.rcgraphs
 
 
 @pytest.mark.parametrize("module", [
+    schubert.chains,
     schubert.perms,
     schubert.rcgraphs,
     schubert.poly,
