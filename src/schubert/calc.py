@@ -7,9 +7,9 @@ The three skew routes:
 
 * ``normalform``: reduce S_u * S_{w0 w} modulo <e_1, ..., e_n>.
 * ``chains``: sum x^delta / x^gamma over increasing chains from u to w.
-* ``lr``: expand the normal form in the Schubert basis and rebuild the
-  polynomial from the coefficients; the expansion indices z correspond to
-  structure constants c^w_{u, w0 z}.
+* ``lr``: expand the product in the Schubert basis in the pass that
+  reduces it and rebuild the polynomial from the coefficients; the
+  expansion indices z correspond to structure constants c^w_{u, w0 z}.
 
 All agree exactly; the test suite exercises that on full symmetric groups.
 """
@@ -17,10 +17,9 @@ All agree exactly; the test suite exercises that on full symmetric groups.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 from typing import Iterator
 
 from .chains import chain_monomial, increasing_chains_to_w0, padded_type, type_counts
@@ -34,13 +33,7 @@ from .perms import (
     perm_from_code,
     perm_to_str,
 )
-from .poly import (
-    Poly,
-    check_composition,
-    divides_staircase,
-    monomial_key,
-    normal_form,
-)
+from .poly import Exponents, Poly, _reduce, check_composition, divides_staircase, normal_form
 from .rcgraphs import enumerate_rcgraphs, monomial as rc_monomial
 from .schur import schur_oracle  # re-exported: test support, public API
 
@@ -143,46 +136,49 @@ def skew(
         return _chain_sum(type_counts(u, w), n)
     if method not in ("normalform", "lr"):
         raise ValueError(f"unknown method {method!r}")
-    product = normal_form(schubert(u, n) * schubert(compose(longest(n), w), n), n)
+    product = schubert(u, n) * schubert(compose(longest(n), w), n)
     if method == "lr":
-        return expand_in_schubert_basis(product, n).as_poly()
-    return product
+        return _expand(product, n).as_poly()
+    return normal_form(product, n)
+
+
+def _expand(p: Poly, n: int) -> SchubertExpansion:
+    """
+    The Schubert expansion of p modulo <e_1, ..., e_n>, in one run of the
+    loop of :func:`normal_form`.  S_w leads with x^code(w), coefficient 1,
+    so each term c * x^m the loop cannot reduce, largest first, gives
+    c_w = c for the w with code m, and the rest of c * S_w is subtracted.
+    A w met twice means a lead coefficient other than 1 left x^m behind.
+    """
+    out: dict[Perm, int] = {}
+
+    def peel(m: Exponents, c: int) -> Iterable[tuple[Exponents, int]]:
+        w = perm_from_code(m, n)
+        if w in out:
+            raise RuntimeError("extraction failed to terminate")
+        out[w] = c
+        terms = {mm + (0,) * (n - len(mm)): -c * cc for mm, cc in schubert(w, n).items()}
+        left = terms.pop(m, 0) + c  # the loop already took c * x^m off
+        if left:
+            terms[m] = left
+        return terms.items()
+
+    _reduce(p, n, peel)
+    return SchubertExpansion(n, out)
 
 
 def expand_in_schubert_basis(p: Poly, n: int) -> SchubertExpansion:
     """
-    Write p as an integer combination of Schubert polynomials of S_n.
-
-    Extraction is triangular: the maximal monomial of S_w in the pinned
-    order is x^code(w) with coefficient 1, so repeatedly matching the
-    maximal remaining monomial against its code peels off one basis element
-    at a time, subtracting c * S_w from the remaining terms in place.
-    Raises ValueError when p is not in the span.
+    Write p as an integer combination of Schubert polynomials of S_n, by
+    :func:`_expand`.  Raises ValueError, naming the largest one, when a
+    monomial of p does not divide x^delta: p is then not in the span.
     """
-    remaining = dict(p.items())
-    out: dict[Perm, int] = {}
-    rounds = 0
-    limit = factorial(n) + 1
-    while remaining:
-        m = max(remaining, key=lambda mm: monomial_key(mm, n))
-        if not divides_staircase(m, n):
-            raise ValueError(
-                f"monomial {m} does not divide the staircase; "
-                f"polynomial is not in the Schubert span of S_{n}"
-            )
-        w = perm_from_code(m, n)
-        c = remaining[m]
-        out[w] = c
-        for mm, cc in schubert(w, n).items():
-            s = remaining.get(mm, 0) - c * cc
-            if s:
-                remaining[mm] = s
-            elif mm in remaining:
-                del remaining[mm]
-        rounds += 1
-        if rounds > limit:
-            raise RuntimeError("extraction failed to terminate")
-    return SchubertExpansion(n, out)
+    outside = {m: c for m, c in p.items() if not divides_staircase(m, n)}
+    if outside:
+        m = Poly(outside).sorted_terms(n)[-1][0]
+        raise ValueError(f"monomial {m} does not divide the staircase; "
+                         f"polynomial is not in the Schubert span of S_{n}")
+    return _expand(p, n)
 
 
 def lr_coefficients(
@@ -193,14 +189,14 @@ def lr_coefficients(
     the w lying in S_n.
 
     The product vanishes in H*(Fl_n) exactly when u is not below w0 v in
-    the Bruhat order (the Richardson variety is empty), so that case
-    returns the empty expansion without a product or a normal form.  The
-    test also covers length(u) + length(v) > length(w0).
+    the Bruhat order (the Richardson variety is empty; this covers
+    length(u) + length(v) > length(w0)), so that case returns the empty
+    expansion at once.  Otherwise one pass reduces and expands the product.
     """
     (u, v), n = embed_all([u, v], n)
     if not bruhat_leq(u, compose(longest(n), v)):
         return SchubertExpansion(n, {})
-    return expand_in_schubert_basis(normal_form(schubert(u, n) * schubert(v, n), n), n)
+    return _expand(schubert(u, n) * schubert(v, n), n)
 
 
 def pieri(u: Sequence[int], a: int, k: int, n: int | None = None) -> SchubertExpansion:

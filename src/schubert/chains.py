@@ -61,8 +61,6 @@ class LabeledChain:
     def __post_init__(self):
         if len(self.perms) != len(self.labels) + 1:
             raise ValueError("need exactly one label per step")
-        if not self.perms:
-            raise ValueError("a chain has at least its start")
 
     @property
     def start(self) -> Perm:

@@ -160,18 +160,16 @@ def bruhat_covers(u: Perm) -> list[tuple[Perm, tuple[int, int]]]:
     return [(w, (i, j)) for i in range(1, len(u)) for j, w in cover_partners(u, i)]
 
 
-def labeled_covers(u: Perm, above: Label = (0, 0)) -> list[tuple[Label, Perm]]:
+def labeled_covers(u: Perm) -> list[tuple[Label, Perm]]:
     """
-    Every labeled edge ((k, b), w) out of u with label greater than above,
-    sorted.  The cover u -> u*(i,j) carries the j - i labels (k, u(i)) with
-    i <= k < j, so a label can sit on several covers; from 1324 the label
-    (1, 1) does:
+    Every labeled edge ((k, b), w) out of u, sorted.  The cover
+    u -> u*(i,j) carries the j - i labels (k, u(i)) with i <= k < j, so a
+    label can sit on several covers; from 1324 the label (1, 1) does:
 
     >>> labeled_covers((1, 3, 2, 4))[:3]
     [((1, 1), (2, 3, 1, 4)), ((1, 1), (3, 1, 2, 4)), ((2, 1), (2, 3, 1, 4))]
     """
-    return sorted((lab, w) for w, (i, j) in bruhat_covers(u)
-                  for k in range(i, j) if (lab := (k, u[i - 1])) > above)
+    return sorted(((k, u[i - 1]), w) for w, (i, j) in bruhat_covers(u) for k in range(i, j))
 
 
 def labeled_edges(u: Perm, w: Perm) -> list[Label]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
@@ -308,17 +308,16 @@ def _reduction_basis(n: int) -> tuple[tuple[int, int, tuple[Exponents, ...]], ..
     return tuple(rules)  # cached and shared, so immutable
 
 
-def normal_form(p: Poly, n: int) -> Poly:
+def _reduce(p: Poly, n: int, keep: Callable[[Exponents, int], Iterable | None]) -> None:
     """
-    The unique representative of p modulo <e_1, ..., e_n> supported on
-    monomials dividing x^delta.  Linear and idempotent.
-
-    A rewrite only creates monomials smaller than the one it removes, so
-    each monomial is taken once, largest first, from a max-heap of pinned
-    order keys (negated, for heapq's min-heap).  A monomial is pushed when
-    it enters the work set; one whose terms cancelled is skipped when
-    popped.  The rules of :func:`_reduction_basis` act on padded exponent
-    tuples in place.
+    The reduction loop modulo <e_1, ..., e_n>.  A rewrite only creates
+    monomials smaller than the one it removes, so each monomial is taken
+    once, largest first, from a max-heap of pinned order keys (negated, for
+    heapq's min-heap); one whose terms cancelled is skipped when popped.
+    The rules of :func:`_reduction_basis` act on exponents padded to length
+    n.  A term c * x^m that no rule reduces (m divides x^delta) leaves the
+    work set, and keep(m, c) returns the (monomial, coefficient) pairs to
+    add in its place, each monomial smaller than m, or None for none.
     """
     if p.nvars() > n:
         raise ValueError(f"polynomial uses more than {n} variables")
@@ -326,27 +325,35 @@ def normal_form(p: Poly, n: int) -> Poly:
     work = {m + (0,) * (n - len(m)): c for m, c in p.items()}
     heap = [(tuple(map(neg, reversed(m))), m) for m in work]
     heapify(heap)
-    done: dict[Exponents, int] = {}
     while heap:
         m = heappop(heap)[1]
         c = work.pop(m, 0)
         if not c:
             continue
         for i, d, steps in rules:
-            if m[i] >= d:
-                for s in steps:  # h_d has all coefficients 1: each adds -c
-                    r = tuple(map(add, m, s))
-                    old = work.get(r)
-                    if old is None:
-                        work[r] = -c
-                        heappush(heap, (tuple(map(neg, reversed(r))), r))
-                    elif old == c:
-                        del work[r]
-                    else:
-                        work[r] = old - c
+            if m[i] >= d:  # h_d has all coefficients 1: each step adds -c
+                terms = ((tuple(map(add, m, s)), -c) for s in steps)
                 break
         else:
-            done[m] = c
+            terms = keep(m, c) or ()
+        for r, a in terms:
+            old = work.get(r)
+            if old is None:
+                work[r] = a
+                heappush(heap, (tuple(map(neg, reversed(r))), r))
+            elif old == -a:
+                del work[r]
+            else:
+                work[r] = old + a
+
+
+def normal_form(p: Poly, n: int) -> Poly:
+    """
+    The unique representative of p modulo <e_1, ..., e_n> on the monomials
+    dividing x^delta: the terms :func:`_reduce` keeps.  Linear, idempotent.
+    """
+    done: dict[Exponents, int] = {}
+    _reduce(p, n, done.__setitem__)
     return Poly(done)
 
 

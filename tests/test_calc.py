@@ -165,6 +165,14 @@ def test_expansion_rejects_outside_span():
         expand_in_schubert_basis(Poly.variable(4), 4)
 
 
+def test_expansion_rejects_a_basis_that_does_not_lead_with_one(monkeypatch):
+    # peeling 2 * S_231 off x1*x2 leaves -x1*x2, so 231 would be peeled twice
+    real = calc.schubert
+    monkeypatch.setattr(calc, "schubert", lambda w, n: real(w, n) * 2)
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        expand_in_schubert_basis(x1 ** 2 + x1 * x2, 3)
+
+
 def test_expansion_reconstructs_input():
     p = skew((2, 4, 1, 3), (1, 3, 2, 4), 4)
     e = expand_in_schubert_basis(p, 4)
@@ -255,7 +263,9 @@ def test_lr_vanishing_test_matches_full_route(n, unordered, zeros, pairs):
         shortcut = not bruhat_leq(u, compose(w0, v))
         full = normal_form(schubert(u, n) * schubert(v, n), n)
         assert shortcut == full.is_zero(), (u, v)
-        assert shortcut == (len(lr_coefficients(u, v, n)) == 0), (u, v)
+        one_pass = lr_coefficients(u, v, n)
+        assert shortcut == (len(one_pass) == 0), (u, v)
+        assert one_pass == expand_in_schubert_basis(full, n), (u, v)
         seen += shortcut
     assert seen == zeros
 

@@ -36,6 +36,8 @@ def test_empty_chain():
     assert chain_monomial(empty) == (0, 0)
     assert len(empty) == 0
     assert empty.start == empty.end
+    with pytest.raises(ValueError, match="one label per step"):
+        LabeledChain((), ())
 
 
 def test_exponent_sum_is_step_count():
