@@ -17,7 +17,7 @@ All agree exactly; the test suite exercises that on full symmetric groups.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -33,7 +33,8 @@ from .perms import (
     perm_from_code,
     perm_to_str,
 )
-from .poly import Exponents, Poly, _reduce, check_composition, divides_staircase, normal_form
+from .poly import (Poly, _reduce, check_composition, divides_staircase, field_width,
+                   normal_form, pack, unpack)
 from .rcgraphs import enumerate_rcgraphs, monomial as rc_monomial
 from .schur import schur_oracle  # re-exported: test support, public API
 
@@ -128,57 +129,89 @@ def skew(
     order.  Methods: ``normalform``, ``chains``, ``lr``; all agree.
     """
     (w, u), n = embed_all([w, u], n)
+    _check_below(u, w)
+    if method == "chains":
+        return _chain_sum(type_counts(u, w), n)
+    w0w = compose(longest(n), w)
+    if method == "lr":
+        return _expand(_packed_product(u, w0w, n), n).as_poly()
+    if method == "normalform":
+        return normal_form(schubert(u, n) * schubert(w0w, n), n)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _check_below(u: Perm, w: Perm) -> None:
     if not bruhat_leq(u, w):
         raise ValueError(
             f"{perm_to_str(u)} is not below {perm_to_str(w)} in the Bruhat order"
         )
-    if method == "chains":
-        return _chain_sum(type_counts(u, w), n)
-    if method not in ("normalform", "lr"):
-        raise ValueError(f"unknown method {method!r}")
-    product = schubert(u, n) * schubert(compose(longest(n), w), n)
-    if method == "lr":
-        return _expand(product, n).as_poly()
-    return normal_form(product, n)
 
 
-def _expand(p: Poly, n: int) -> SchubertExpansion:
+def _width(n: int) -> int:
     """
-    The Schubert expansion of p modulo <e_1, ..., e_n>, in one run of the
-    loop of :func:`normal_form`.  S_w leads with x^code(w), coefficient 1,
-    so each term c * x^m the loop cannot reduce, largest first, gives
-    c_w = c for the w with code m, and the rest of c * S_w is subtracted.
-    A w met twice means a lead coefficient other than 1 left x^m behind.
+    The field width of packed expansions in S_n: what they expand and each
+    S_w they peel off have total degree at most length(w0) = n(n - 1) / 2.
     """
+    return field_width(n * (n - 1) // 2)
+
+
+@lru_cache(maxsize=4096)
+def _packed_schubert(w: Perm, n: int) -> tuple[tuple[int, int], ...]:
+    """The (monomial, coefficient) pairs of S_w, packed with the width of S_n."""
+    b = _width(n)
+    return tuple((pack(m, b), c) for m, c in schubert(w, n).items())
+
+
+def _packed_product(u: Perm, v: Perm, n: int) -> dict[int, int]:
+    """S_u * S_v, packed: the product of two monomials is one int addition."""
+    out: dict[int, int] = {}
+    terms_v = _packed_schubert(v, n)
+    for m1, c1 in _packed_schubert(u, n):
+        for m2, c2 in terms_v:
+            m = m1 + m2
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _expand(work: dict[int, int], n: int) -> SchubertExpansion:
+    """
+    The Schubert expansion modulo <e_1, ..., e_n> of a polynomial packed
+    with the width of S_n, in one run of the loop of :func:`normal_form`.
+    S_w leads with x^code(w), coefficient 1, so each term c * x^m the loop
+    cannot reduce, largest first, gives c_w = c for the w with code m, and
+    the rest of c * S_w is subtracted.  A w met twice means a lead
+    coefficient other than 1 left x^m behind.
+    """
+    b = _width(n)
     out: dict[Perm, int] = {}
 
-    def peel(m: Exponents, c: int) -> Iterable[tuple[Exponents, int]]:
-        w = perm_from_code(m, n)
+    def peel(m: int, c: int) -> list[tuple[int, int]]:
+        w = perm_from_code(unpack(m, b), n)
         if w in out:
             raise RuntimeError("extraction failed to terminate")
         out[w] = c
-        terms = {mm + (0,) * (n - len(mm)): -c * cc for mm, cc in schubert(w, n).items()}
-        left = terms.pop(m, 0) + c  # the loop already took c * x^m off
-        if left:
-            terms[m] = left
-        return terms.items()
+        rest = dict(_packed_schubert(w, n))
+        rest[m] = rest.get(m, 0) - 1  # the loop already took c * x^m off
+        return [(t - m, -k) for t, k in rest.items() if k]
 
-    _reduce(p, n, peel)
+    _reduce(work, n, b, peel)
     return SchubertExpansion(n, out)
 
 
 def expand_in_schubert_basis(p: Poly, n: int) -> SchubertExpansion:
     """
     Write p as an integer combination of Schubert polynomials of S_n, by
-    :func:`_expand`.  Raises ValueError, naming the largest one, when a
-    monomial of p does not divide x^delta: p is then not in the span.
+    :func:`_expand` on p packed with the width of S_n.  Raises ValueError,
+    naming the largest one, when a monomial of p does not divide x^delta:
+    p is then not in the span.
     """
     outside = {m: c for m, c in p.items() if not divides_staircase(m, n)}
     if outside:
         m = Poly(outside).sorted_terms(n)[-1][0]
         raise ValueError(f"monomial {m} does not divide the staircase; "
                          f"polynomial is not in the Schubert span of S_{n}")
-    return _expand(p, n)
+    b = _width(n)
+    return _expand({pack(m, b): c for m, c in p.items()}, n)
 
 
 def lr_coefficients(
@@ -196,7 +229,7 @@ def lr_coefficients(
     (u, v), n = embed_all([u, v], n)
     if not bruhat_leq(u, compose(longest(n), v)):
         return SchubertExpansion(n, {})
-    return _expand(schubert(u, n) * schubert(v, n), n)
+    return _expand(_packed_product(u, v, n), n)
 
 
 def pieri(u: Sequence[int], a: int, k: int, n: int | None = None) -> SchubertExpansion:
@@ -261,8 +294,13 @@ def psi_alpha_normal_form(f: SchubertExpansion, alpha: Sequence[int], n: int) ->
 
 
 def skew_expansion(w: Perm, u: Perm, n: int) -> SchubertExpansion:
-    """The Schubert expansion of the skew polynomial of w over u."""
-    return expand_in_schubert_basis(skew(w, u, n, method="normalform"), n)
+    """
+    The Schubert expansion of the skew polynomial of w over u, in the pass
+    that reduces S_u * S_{w0 w}.
+    """
+    (w, u), n = embed_all([w, u], n)
+    _check_below(u, w)
+    return _expand(_packed_product(u, compose(longest(n), w), n), n)
 
 
 def corollary_sides(u: Perm, w: Perm, expansion: SchubertExpansion,

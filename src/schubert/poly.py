@@ -9,9 +9,12 @@ polynomial compares equal no matter the ambient number of variables.
 Coefficients are Python ints, hence arbitrary precision: overflow cannot
 occur, let alone wrap silently.
 
-One monomial comparison is shared by every consumer (reduction, Schubert
-basis extraction, term ordering in serialized output): compare exponents
-from the highest-indexed variable downward, see :func:`monomial_key`.
+One monomial order is shared by every consumer: compare exponents from the
+highest-indexed variable downward.  The reduction loop works on packed
+monomials (:func:`pack`): one int per exponent vector, x_1 in the lowest
+field, so a monomial product or a rewrite step is one int addition and the
+order is int comparison.  :func:`monomial_key` gives the same order on
+exponent tuples and orders the terms of serialized output.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
-from operator import add, neg
 from typing import Iterator
 
 Exponents = tuple[int, ...]
@@ -79,6 +81,13 @@ class Poly:
                 elif m in canon:
                     del canon[m]
         self._terms = canon
+
+    @classmethod
+    def _of(cls, terms: dict[Exponents, int]) -> "Poly":
+        """Wrap a dict of trimmed monomials to nonzero coefficients, unchecked."""
+        p = cls()
+        p._terms = terms
+        return p
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -145,9 +154,7 @@ class Poly:
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "Poly":
-        p = Poly()
-        p._terms = {m: -c for m, c in self._terms.items()}
-        return p
+        return Poly._of({m: -c for m, c in self._terms.items()})
 
     def __add__(self, other: "Poly | int") -> "Poly":
         other = _coerce(other)
@@ -158,9 +165,7 @@ class Poly:
                 res[m] = s
             elif m in res:
                 del res[m]
-        p = Poly()
-        p._terms = res
-        return p
+        return Poly._of(res)
 
     __radd__ = __add__
 
@@ -172,10 +177,7 @@ class Poly:
 
     def __mul__(self, other: "Poly | int") -> "Poly":
         if isinstance(other, int):
-            p = Poly()
-            if other:
-                p._terms = {m: c * other for m, c in self._terms.items()}
-            return p
+            return Poly._of({m: c * other for m, c in self._terms.items()} if other else {})
         if not isinstance(other, Poly):
             return NotImplemented
         res: dict[Exponents, int] = {}
@@ -189,9 +191,7 @@ class Poly:
                     res[m] = s
                 elif m in res:
                     del res[m]
-        p = Poly()
-        p._terms = res
-        return p
+        return Poly._of(res)
 
     __rmul__ = __mul__
 
@@ -280,67 +280,97 @@ def h_alpha(alpha: Iterable[int], n: int) -> Poly:
     return out
 
 
+def field_width(degree: int) -> int:
+    """The bits per field that hold every exponent of a total degree up to degree."""
+    return max(degree, 1).bit_length()
+
+
+def pack(exps: Iterable[int], b: int) -> int:
+    """
+    The monomial x^exps as one int of b-bit fields, x_1 in the lowest.
+    While every exponent is below 2^b, multiplying monomials is adding their
+    packs, and comparing packs is the pinned order of :func:`monomial_key`.
+
+    >>> pack((1, 2), 3), unpack(17, 3)
+    (17, (1, 2))
+    """
+    return sum(e << (b * i) for i, e in enumerate(exps))
+
+
+def unpack(m: int, b: int) -> Exponents:
+    """The trimmed exponent tuple of a monomial packed by :func:`pack`."""
+    mask = (1 << b) - 1
+    e = []
+    while m:
+        e.append(m & mask)
+        m >>= b
+    return tuple(e)
+
+
 @lru_cache(maxsize=16)
-def _reduction_basis(n: int) -> tuple[tuple[int, int, tuple[Exponents, ...]], ...]:
+def _reduction_basis(n: int, b: int) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
     """
     For i = n..1 the rewrite x_i^d == -(h_d(x_1..x_i) minus its lead term),
     d = n - i + 1.  The lead terms are pairwise coprime pure powers, so the
     basis is Groebner and remainders are exactly the monomials dividing
     x^delta.
 
-    Each rule is (i - 1, d, steps) on exponent tuples padded to length n:
-    a monomial m with m[i - 1] >= d rewrites to minus the sum of m + s over
-    the steps s, one per tail monomial t, s = t - x_i^d.
+    Each rule is (shift, d, steps) on monomials packed with b-bit fields:
+    a monomial whose field at shift = b * (i - 1) is at least d takes the
+    steps (t, -1) of :func:`_reduce`, one per tail monomial s of h_d, with
+    t = pack(s) - pack(x_i^d), a negative int.
 
-    >>> _reduction_basis(2)
-    ((1, 1, ((1, -1),)), (0, 2, ()))
+    >>> _reduction_basis(2, 2)  # x2 == -x1: 1 - 4 == -3; x1^2 == 0
+    ((2, 1, ((-3, -1),)), (0, 2, ()))
     """
     rules = []
     for i in range(n, 0, -1):
         d = n - i + 1
-        steps = []
-        for m, _ in complete_h(d, i).items():
-            s = list(m) + [0] * (n - len(m))
-            if s[i - 1] < d:  # not the lead term x_i^d
-                s[i - 1] -= d
-                steps.append(tuple(s))
-        rules.append((i - 1, d, tuple(steps)))
+        shift = b * (i - 1)
+        lead = d << shift
+        packs = [pack(m, b) for m, _ in complete_h(d, i).items()]
+        steps = tuple((t - lead, -1) for t in packs if t != lead)
+        rules.append((shift, d, steps))
     return tuple(rules)  # cached and shared, so immutable
 
 
-def _reduce(p: Poly, n: int, keep: Callable[[Exponents, int], Iterable | None]) -> None:
+def _reduce(work: dict[int, int], n: int, b: int,
+            keep: Callable[[int, int], Iterable[tuple[int, int]] | None]) -> None:
     """
-    The reduction loop modulo <e_1, ..., e_n>.  A rewrite only creates
-    monomials smaller than the one it removes, so each monomial is taken
-    once, largest first, from a max-heap of pinned order keys (negated, for
-    heapq's min-heap); one whose terms cancelled is skipped when popped.
-    The rules of :func:`_reduction_basis` act on exponents padded to length
-    n.  A term c * x^m that no rule reduces (m divides x^delta) leaves the
-    work set, and keep(m, c) returns the (monomial, coefficient) pairs to
-    add in its place, each monomial smaller than m, or None for none.
+    The reduction loop modulo <e_1, ..., e_n>, on a dict of monomials packed
+    with b-bit fields, which it empties.  Every total degree must be below
+    2^b; a step keeps the degree of the term it rewrites, so no field
+    overflows and int order stays the pinned order.
+
+    A step replaces c * x^m by the sum of c * k * x^(m + t) over its pairs
+    (t, k), all smaller than m, so each monomial is taken once, largest
+    first, from a max-heap of negated ints; one whose terms cancelled is
+    skipped when popped.  The rules of :func:`_reduction_basis` give the
+    steps of the terms they reduce.  A term c * x^m no rule reduces (m
+    divides x^delta) leaves the work set, and keep(m, c) returns its steps,
+    or None for none.  Steps update the work set in place.
     """
-    if p.nvars() > n:
-        raise ValueError(f"polynomial uses more than {n} variables")
-    rules = _reduction_basis(n)
-    work = {m + (0,) * (n - len(m)): c for m, c in p.items()}
-    heap = [(tuple(map(neg, reversed(m))), m) for m in work]
+    rules = _reduction_basis(n, b)
+    mask = (1 << b) - 1
+    heap = [-m for m in work]
     heapify(heap)
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = work.pop(m, 0)
         if not c:
             continue
-        for i, d, steps in rules:
-            if m[i] >= d:  # h_d has all coefficients 1: each step adds -c
-                terms = ((tuple(map(add, m, s)), -c) for s in steps)
+        for shift, d, steps in rules:
+            if (m >> shift) & mask >= d:
                 break
         else:
-            terms = keep(m, c) or ()
-        for r, a in terms:
+            steps = keep(m, c) or ()
+        for t, k in steps:
+            r = m + t
+            a = c * k
             old = work.get(r)
             if old is None:
                 work[r] = a
-                heappush(heap, (tuple(map(neg, reversed(r))), r))
+                heappush(heap, -r)
             elif old == -a:
                 del work[r]
             else:
@@ -350,11 +380,18 @@ def _reduce(p: Poly, n: int, keep: Callable[[Exponents, int], Iterable | None]) 
 def normal_form(p: Poly, n: int) -> Poly:
     """
     The unique representative of p modulo <e_1, ..., e_n> on the monomials
-    dividing x^delta: the terms :func:`_reduce` keeps.  Linear, idempotent.
+    dividing x^delta: the terms :func:`_reduce` keeps, with fields as wide
+    as the largest total degree of p needs.  Linear, idempotent.
+
+    >>> normal_form(Poly.variable(2) ** 2 + Poly.variable(1), 2)
+    Poly(x1)
     """
-    done: dict[Exponents, int] = {}
-    _reduce(p, n, done.__setitem__)
-    return Poly(done)
+    if p.nvars() > n:
+        raise ValueError(f"polynomial uses more than {n} variables")
+    b = field_width(max((sum(m) for m, _ in p.items()), default=0))
+    done: dict[int, int] = {}
+    _reduce({pack(m, b): c for m, c in p.items()}, n, b, done.__setitem__)
+    return Poly._of({unpack(m, b): c for m, c in done.items()})
 
 
 # --- serialization ---------------------------------------------------------

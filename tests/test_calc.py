@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import max_ordered_normal_form
 
 from schubert import calc, poly
 from schubert.calc import (
@@ -76,6 +77,7 @@ def test_unknown_method_rejected():
 
 def test_caches_are_bounded_and_hit():
     assert calc._schubert.cache_info().maxsize == 4096
+    assert calc._packed_schubert.cache_info().maxsize == 4096
     assert poly._reduction_basis.cache_info().maxsize == 16
     before = calc._schubert.cache_info().hits
     first = schubert((2, 4, 1, 3), 4)
@@ -167,8 +169,9 @@ def test_expansion_rejects_outside_span():
 
 def test_expansion_rejects_a_basis_that_does_not_lead_with_one(monkeypatch):
     # peeling 2 * S_231 off x1*x2 leaves -x1*x2, so 231 would be peeled twice
-    real = calc.schubert
-    monkeypatch.setattr(calc, "schubert", lambda w, n: real(w, n) * 2)
+    real = calc._packed_schubert
+    monkeypatch.setattr(calc, "_packed_schubert",
+                        lambda w, n: tuple((m, 2 * c) for m, c in real(w, n)))
     with pytest.raises(RuntimeError, match="failed to terminate"):
         expand_in_schubert_basis(x1 ** 2 + x1 * x2, 3)
 
@@ -268,6 +271,20 @@ def test_lr_vanishing_test_matches_full_route(n, unordered, zeros, pairs):
         assert one_pass == expand_in_schubert_basis(full, n), (u, v)
         seen += shortcut
     assert seen == zeros
+
+
+def test_lr_reassembles_the_max_ordered_normal_form_on_s5():
+    # the packed product and reduction against the tuple loop of the oracle
+    rng = random.Random(5)
+    perms = list(all_perms(5))
+    nonzero = 0
+    for _ in range(200):
+        u, v = rng.choice(perms), rng.choice(perms)
+        e = lr_coefficients(u, v, 5)
+        product = dict((schubert(u, 5) * schubert(v, 5)).items())
+        assert dict(e.as_poly().items()) == max_ordered_normal_form(product, 5), (u, v)
+        nonzero += len(e) > 0
+    assert nonzero == 41
 
 
 # --- Pieri and psi ----------------------------------------------------------

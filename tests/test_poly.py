@@ -1,5 +1,7 @@
+from itertools import product
+
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import max_ordered_normal_form
 
@@ -8,14 +10,18 @@ from schubert.poly import (
     complete_h,
     divides_staircase,
     elementary,
+    field_width,
     h_alpha,
     monomial_key,
     normal_form,
+    pack,
     poly_from_json_obj,
     poly_from_text,
     poly_to_json_obj,
     poly_to_text,
     staircase_exponent,
+    trim,
+    unpack,
 )
 
 x1, x2, x3 = Poly.variable(1), Poly.variable(2), Poly.variable(3)
@@ -157,11 +163,39 @@ def test_normal_form_is_linear(p, q):
     assert normal_form(p + q, n) == normal_form(p, n) + normal_form(q, n)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+# the oracle is quadratic by design: at n = 6 it alone can take 80 ms
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@settings(deadline=None)
 @given(data=st.data())
 def test_normal_form_matches_max_ordered_oracle(n, data):
     p = data.draw(polys_in(n))
     assert dict(normal_form(p, n).items()) == max_ordered_normal_form(dict(p.items()), n)
+
+
+# largest total degree 2^b - 1, where a field of b bits is full, and 2^b,
+# which needs one bit more, for b = 2, 3, 4
+@pytest.mark.parametrize("text, n", [
+    ("x3^3 + x1^2*x2 - 2*x2^3", 3),
+    ("x1^2*x2^2 + x3^4 - x1*x2*x3^2", 4),
+    ("x2^7 - x1^3*x3^4 + 3*x5^7 + x4^7", 5),
+    ("x5^8 + x1*x2^3*x4^4 - x3^8 + x2^7", 5),
+    ("x1^5*x2^4*x3^3*x4^2*x5 - x2^15 + x3^7*x4^8", 6),
+    ("x1^5*x2^4*x3^3*x4^2*x5^2 + x4^16 - x2^8*x3^8 + x1^3*x2^5*x3^3*x4^2*x5", 6),
+])
+def test_normal_form_at_the_field_width_boundary(text, n):
+    p = poly_from_text(text)
+    assert dict(normal_form(p, n).items()) == max_ordered_normal_form(dict(p.items()), n)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_packing_is_exact_and_keeps_the_order_up_to_full_fields(b):
+    top = 2 ** b - 1
+    assert field_width(top) == b and field_width(top + 1) == b + 1
+    exps = list(product(range(top + 1), repeat=3))
+    for e in exps:
+        assert unpack(pack(e, b), b) == trim(e)
+    by_pack = sorted(exps, key=lambda e: pack(e, b))
+    assert by_pack == sorted(exps, key=lambda e: monomial_key(e, 3))
 
 
 def test_h_alpha_at_delta_contains_staircase_monomial():
