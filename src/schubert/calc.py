@@ -132,12 +132,18 @@ def skew(
     _check_below(u, w)
     if method == "chains":
         return _chain_sum(type_counts(u, w), n)
-    w0w = compose(longest(n), w)
+    w0w = _w0_times(w)
     if method == "lr":
         return _expand(_packed_product(u, w0w, n), n).as_poly()
     if method == "normalform":
         return normal_form(schubert(u, n) * schubert(w0w, n), n)
     raise ValueError(f"unknown method {method!r}")
+
+
+@lru_cache(maxsize=4096)
+def _w0_times(v: Perm) -> Perm:
+    """w0 * v, the index that pairs with v in the Schubert basis."""
+    return compose(longest(len(v)), v)
 
 
 def _check_below(u: Perm, w: Perm) -> None:
@@ -179,23 +185,32 @@ def _expand(work: dict[int, int], n: int) -> SchubertExpansion:
     with the width of S_n, in one run of the loop of :func:`normal_form`.
     S_w leads with x^code(w), coefficient 1, so each term c * x^m the loop
     cannot reduce, largest first, gives c_w = c for the w with code m, and
-    the rest of c * S_w is subtracted.  A w met twice means a lead
-    coefficient other than 1 left x^m behind.
+    the rest of c * S_w is subtracted (:func:`_peel_steps`).  A w met twice
+    means a lead coefficient other than 1 left x^m behind.
     """
-    b = _width(n)
     out: dict[Perm, int] = {}
 
-    def peel(m: int, c: int) -> list[tuple[int, int]]:
-        w = perm_from_code(unpack(m, b), n)
+    def peel(m: int, c: int) -> tuple[tuple[int, int], ...]:
+        w, steps = _peel_steps(m, n)
         if w in out:
             raise RuntimeError("extraction failed to terminate")
         out[w] = c
-        rest = dict(_packed_schubert(w, n))
-        rest[m] = rest.get(m, 0) - 1  # the loop already took c * x^m off
-        return [(t - m, -k) for t, k in rest.items() if k]
+        return steps
 
-    _reduce(work, n, b, peel)
+    _reduce(work, n, _width(n), peel)
     return SchubertExpansion(n, out)
+
+
+@lru_cache(maxsize=4096)
+def _peel_steps(m: int, n: int) -> tuple[Perm, tuple[tuple[int, int], ...]]:
+    """
+    The w with code m, packed with the width of S_n, and the steps of
+    :func:`_reduce` that subtract S_w minus its lead term x^m.
+    """
+    w = perm_from_code(unpack(m, _width(n)), n)
+    rest = dict(_packed_schubert(w, n))
+    rest[m] = rest.get(m, 0) - 1  # the loop already took c * x^m off
+    return w, tuple((t - m, -k) for t, k in rest.items() if k)
 
 
 def expand_in_schubert_basis(p: Poly, n: int) -> SchubertExpansion:
@@ -227,7 +242,7 @@ def lr_coefficients(
     expansion at once.  Otherwise one pass reduces and expands the product.
     """
     (u, v), n = embed_all([u, v], n)
-    if not bruhat_leq(u, compose(longest(n), v)):
+    if not bruhat_leq(u, _w0_times(v)):
         return SchubertExpansion(n, {})
     return _expand(_packed_product(u, v, n), n)
 
@@ -283,14 +298,17 @@ def psi_alpha(f: SchubertExpansion, alpha: Sequence[int], n: int) -> int:
     return current.get(longest(n), 0)
 
 
-def psi_alpha_normal_form(f: SchubertExpansion, alpha: Sequence[int], n: int) -> int:
-    """The same functional read off a normal form: coefficient of x^delta / x^alpha."""
+def psi_alpha_normal_form(reduced: Poly, alpha: Sequence[int], n: int) -> int:
+    """
+    The same functional read off the normal form of f, reduced =
+    normal_form(f.as_poly(), n): the coefficient of x^delta / x^alpha.
+    """
     alpha = tuple(alpha)
     delta = tuple(range(n - 1, -1, -1))
     target = tuple(d - a for d, a in zip(delta, alpha + (0,) * (n - len(alpha))))
     if any(t < 0 for t in target):
         raise ValueError(f"{alpha} does not fit under the staircase")
-    return normal_form(f.as_poly(), n).coefficient(target)
+    return reduced.coefficient(target)
 
 
 def skew_expansion(w: Perm, u: Perm, n: int) -> SchubertExpansion:
@@ -300,7 +318,7 @@ def skew_expansion(w: Perm, u: Perm, n: int) -> SchubertExpansion:
     """
     (w, u), n = embed_all([w, u], n)
     _check_below(u, w)
-    return _expand(_packed_product(u, compose(longest(n), w), n), n)
+    return _expand(_packed_product(u, _w0_times(w), n), n)
 
 
 def corollary_sides(u: Perm, w: Perm, expansion: SchubertExpansion,

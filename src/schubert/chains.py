@@ -12,9 +12,8 @@ All questions about the chains that end at one w are answered by one
 search, search_toward(w), shared by every start u.  It is a recursion over
 (node, last label) whose memo holds the types of the chains from the node
 to w with every label above the last one, so each node's types are counted
-once, not once per chain through it.  It stays near the interval [u, w]: a
-cover v with r steps left to w is kept only if it differs from w in at
-most 2r positions, and at the last step only w itself is kept.
+once, not once per chain through it.  It stays in the interval [u, w]:
+a cover is kept only if it is below w, by the exact bruhat_leq.
 type_counts reads the memo entry of u; increasing_chains then walks the
 covers the search found, entering only nodes whose entry is non-empty.
 
@@ -33,16 +32,15 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from operator import ne
 from typing import Iterator
 
 from .perms import (
     Label,
     Perm,
+    bruhat_leq,
     cover_partners,
     labeled_covers,
     labeled_edges,
-    length,
     longest,
     perm_from_str,
     perm_to_str,
@@ -101,20 +99,9 @@ def chain_monomial(chain: LabeledChain) -> Composition:
     return cell_type(chain.labels, chain.n)
 
 
-def _covers_toward(p: Perm, w: Perm, gap: int) -> list[tuple[Label, Perm]]:
-    """
-    The labeled covers (lab, v) of p, in the order of labeled_covers, that
-    pass a cheap test for v <= w, where gap = length(w) - length(p) >= 1.
-    A v <= w with r = gap - 1 steps to go is r transpositions below w, so it
-    differs from w in at most 2r positions; at the last step that leaves
-    only w itself.  The test is necessary, not sufficient: a cover that
-    passes may still not reach w, and bruhat_leq, which would decide it,
-    costs more than the covers it saves.
-    """
-    if gap == 1:
-        return [(lab, v) for lab, v in labeled_covers(p) if v == w]
-    bound = 2 * (gap - 1)
-    return [(lab, v) for lab, v in labeled_covers(p) if sum(map(ne, v, w)) <= bound]
+def _covers_toward(p: Perm, w: Perm) -> list[tuple[Label, Perm]]:
+    """The labeled covers (lab, v) of p with v <= w, in the order of labeled_covers."""
+    return [(lab, v) for lab, v in labeled_covers(p) if bruhat_leq(v, w)]
 
 
 def search_toward(w: Perm):
@@ -125,18 +112,16 @@ def search_toward(w: Perm):
     chains, and near maps each node entered to its covers toward w, in the
     order of labeled_covers.  The memo is keyed by (node, last label), so a
     node's types are counted once, not once per chain through it, and its
-    covers are found once.  The gap to w goes down the recursion, so length
-    runs once per start.  The dicts types returns belong to the memo: copy
+    covers are found once.  The dicts types returns belong to the memo: copy
     one before changing it.
     """
-    top = length(w)
     unit = {(0,) * (len(w) - 1): 1}  # the types of the empty chain at w
     memo: dict[tuple[Perm, Label], dict[Composition, int]] = {}
     near: dict[Perm, list[tuple[Label, Perm]]] = {}
 
-    def suffixes(p: Perm, gap: int, last: Label) -> dict[Composition, int]:
+    def suffixes(p: Perm, last: Label) -> dict[Composition, int]:
         if (covers := near.get(p)) is None:
-            covers = near[p] = _covers_toward(p, w, gap)
+            covers = near[p] = _covers_toward(p, w)
         out: dict[Composition, int] = {}
         for lab, v in covers:
             if lab <= last:
@@ -145,7 +130,7 @@ def search_toward(w: Perm):
             if v == w:
                 below = unit
             elif (below := memo.get((v, lab))) is None:
-                below = memo[v, lab] = suffixes(v, gap - 1, lab)
+                below = memo[v, lab] = suffixes(v, lab)
             for gamma, c in below.items():
                 gamma = gamma[:row] + (gamma[row] + 1,) + gamma[row + 1:]
                 out[gamma] = out.get(gamma, 0) + c
@@ -153,12 +138,9 @@ def search_toward(w: Perm):
 
     def types(p: Perm, last: Label = (0, 0)) -> dict[Composition, int]:
         if (got := memo.get((p, last))) is None:
-            if len(p) != len(w):
-                raise ValueError("size mismatch")
             if p == w:
                 return unit
-            gap = top - length(p)
-            got = memo[p, last] = suffixes(p, gap, last) if gap > 0 else {}
+            got = memo[p, last] = suffixes(p, last) if bruhat_leq(p, w) else {}
         return got
 
     return types, near

@@ -124,6 +124,8 @@ def _lr_pairs(args: argparse.Namespace) -> tuple[Iterable[tuple[Perm, Perm]], in
     if args.u is not None or args.n is None:
         raise ValueError("lr --all takes no permutations and needs --n")
     n = args.n
+    if n < 1:
+        raise ValueError("--n must be at least 1")
     # lr_coefficients itself returns at once on the products that vanish
     return ((u, v) for u in all_perms(n) for v in all_perms(n)), n
 

@@ -12,8 +12,8 @@ Each cover carries ``j - i`` edge labels ``(k, b)`` with ``i <= k < j`` and
 
 from __future__ import annotations
 
-from bisect import insort
 from collections.abc import Sequence
+from functools import lru_cache
 from itertools import permutations as _itertools_permutations
 from typing import Iterator
 
@@ -191,8 +191,9 @@ def labeled_edges(u: Perm, w: Perm) -> list[Label]:
 
 def bruhat_leq(u: Perm, w: Perm) -> bool:
     """
-    Compare in the Bruhat order via sorted initial segments: u <= w iff for
-    every k the sorted k-prefix of u is entrywise <= that of w.
+    Compare in the Bruhat order by rank counts: u <= w iff
+    r_u(k, i) <= r_w(k, i) for all k, i, with r_w(k, i) = #{a <= k : w(a) >= i}.
+    One int subtraction compares them all (see :func:`_ranks`).
 
     >>> bruhat_leq((1, 3, 2, 4), (2, 4, 1, 3))
     True
@@ -201,16 +202,41 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
     """
     if len(u) != len(w):
         raise ValueError("size mismatch")
-    if u == w:
-        return True
-    pu: list[int] = []
-    pw: list[int] = []
-    for k in range(len(u) - 1):
-        insort(pu, u[k])
-        insort(pw, w[k])
-        if any(a > b for a, b in zip(pu, pw)):
-            return False
-    return True
+    guard = _guard(len(w))
+    return ((_ranks(tuple(w)) | guard) - _ranks(tuple(u))) & guard == guard
+
+
+def _rank_width(n: int) -> int:
+    """Bits per rank field: a count up to n - 1 and a guard bit above it."""
+    return (n - 1).bit_length() + 1
+
+
+@lru_cache(maxsize=8192)
+def _ranks(w: Perm) -> int:
+    """
+    The counts r_w(k, i) for 1 <= k < n and 2 <= i <= n (the others do not
+    depend on w), one per field of :func:`_rank_width` bits with the top bit
+    clear.  With every guard bit set, subtracting the ranks of u borrows
+    from a field's guard exactly where r_u(k, i) > r_w(k, i), and never
+    into the next field.
+    """
+    n = len(w)
+    b = _rank_width(n)
+    above = [0] * (n + 1)  # above[i] = r_w(k, i) for the prefix read so far
+    r = 0
+    for v in w[:-1]:
+        for i in range(2, v + 1):
+            above[i] += 1
+        for count in above[2:]:
+            r = (r << b) | count
+    return r
+
+
+@lru_cache(maxsize=64)
+def _guard(n: int) -> int:
+    """The guard bits of the rank fields of S_n."""
+    b = _rank_width(n)
+    return sum(1 << (b * f + b - 1) for f in range((n - 1) ** 2))
 
 
 def embed(w: Perm, m: int) -> Perm:

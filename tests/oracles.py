@@ -99,6 +99,17 @@ def bruhat_reachable(n: int) -> dict[Perm, set[Perm]]:
     return reach
 
 
+def bruhat_leq_by_sorted_prefixes(u: Perm, w: Perm) -> bool:
+    """
+    The tableau criterion: u <= w in the Bruhat order iff for every k the
+    sorted k-prefix of u is entrywise at most that of w.
+    """
+    if len(u) != len(w):
+        raise ValueError("size mismatch")
+    return all(a <= b for k in range(1, len(u))
+               for a, b in zip(sorted(u[:k]), sorted(w[:k])))
+
+
 def word_product(word, n: int) -> Perm:
     p = list(range(1, n + 1))
     for a in word:

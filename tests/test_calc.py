@@ -20,6 +20,8 @@ from schubert.calc import (
 )
 from schubert.chains import type_counts
 from schubert.perms import (
+    _guard,
+    _ranks,
     all_perms,
     bruhat_leq,
     code,
@@ -78,6 +80,10 @@ def test_unknown_method_rejected():
 def test_caches_are_bounded_and_hit():
     assert calc._schubert.cache_info().maxsize == 4096
     assert calc._packed_schubert.cache_info().maxsize == 4096
+    assert calc._peel_steps.cache_info().maxsize == 4096
+    assert calc._w0_times.cache_info().maxsize == 4096
+    assert _ranks.cache_info().maxsize == 8192
+    assert _guard.cache_info().maxsize == 64
     assert poly._reduction_basis.cache_info().maxsize == 16
     before = calc._schubert.cache_info().hits
     first = schubert((2, 4, 1, 3), 4)
@@ -172,6 +178,8 @@ def test_expansion_rejects_a_basis_that_does_not_lead_with_one(monkeypatch):
     real = calc._packed_schubert
     monkeypatch.setattr(calc, "_packed_schubert",
                         lambda w, n: tuple((m, 2 * c) for m, c in real(w, n)))
+    # the uncached peel reads the patched basis; the cached one may hold the real one
+    monkeypatch.setattr(calc, "_peel_steps", calc._peel_steps.__wrapped__)
     with pytest.raises(RuntimeError, match="failed to terminate"):
         expand_in_schubert_basis(x1 ** 2 + x1 * x2, 3)
 

@@ -134,6 +134,14 @@ def test_lr_argument_errors(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_lr_all_rejects_n_below_one(capsys, n):
+    code, out, err = run(capsys, "lr", "--all", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --n must be at least 1\n"
+
+
 def test_rcgraphs_ascii_contains_known_grid(capsys):
     code, out, _ = run(capsys, "rcgraphs", "1432", "--n", "4", "--render", "ascii")
     assert code == 0

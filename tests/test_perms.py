@@ -19,7 +19,12 @@ from schubert.perms import (
     perm_to_str,
 )
 
-from oracles import bruhat_reachable, cover_graph, inversion_count
+from oracles import (
+    bruhat_leq_by_sorted_prefixes,
+    bruhat_reachable,
+    cover_graph,
+    inversion_count,
+)
 
 perms_of = lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 small_perms = st.integers(min_value=1, max_value=6).flatmap(perms_of)
@@ -124,13 +129,36 @@ def test_bruhat_leq_examples():
     assert not bruhat_leq((4, 3, 2, 1), (1, 2, 3, 4))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_bruhat_leq_matches_reachability(n):
     reach = bruhat_reachable(n)
     for u in all_perms(n):
         reachable = reach[u]
         for w in all_perms(n):
             assert bruhat_leq(u, w) == (w in reachable), (u, w)
+
+
+# rank fields are 4 bits wide in S_5..S_8 and 5 bits in S_9 and S_10
+pair_of_perms = st.integers(min_value=6, max_value=10).flatmap(
+    lambda n: st.tuples(perms_of(n), perms_of(n)))
+
+
+@given(pair_of_perms)
+def test_bruhat_leq_matches_sorted_prefixes(pair):
+    u, w = pair
+    assert bruhat_leq(u, w) == bruhat_leq_by_sorted_prefixes(u, w)
+    assert bruhat_leq(w, u) == bruhat_leq_by_sorted_prefixes(w, u)
+    assert bruhat_leq(u, u) and bruhat_leq(identity(len(u)), u)
+    assert bruhat_leq(u, longest(len(u)))
+    for v, _ in bruhat_covers(u):
+        assert bruhat_leq(u, v) and not bruhat_leq(v, u)
+
+
+def test_bruhat_leq_rejects_a_size_mismatch():
+    with pytest.raises(ValueError, match="size mismatch"):
+        bruhat_leq((1, 2, 3), (1, 2, 3, 4))
+    with pytest.raises(ValueError, match="size mismatch"):
+        bruhat_leq((2, 1), (1,))
 
 
 def test_embed():
