@@ -9,13 +9,12 @@ labels alone do not pin down the walk.  A chain is *increasing* when its
 labels strictly increase in lexicographic order.
 
 All questions about the chains that end at one w are answered by one
-search, search_toward(w), shared by every start u.  It is a recursion over
+search, search_toward(w), shared by every start u: a recursion over
 (node, last label) whose memo holds the types of the chains from the node
-to w with every label above the last one, so each node's types are counted
-once, not once per chain through it.  It stays in the interval [u, w]:
-a cover is kept only if it is below w, by the exact bruhat_leq.
-type_counts reads the memo entry of u; increasing_chains then walks the
-covers the search found, entering only nodes whose entry is non-empty.
+to w with every label above the last.  It stays in [u, w]: each cover from
+a node's swap scan is tested against w once, by the rank test of
+bruhat_leq, and the labels are laid out row by row, sorted without a sort.
+type_counts reads u's memo entry; increasing_chains walks the covers found.
 
 Chains ending at the longest permutation admit a much better search: the
 branches below a node u all swap the same position k, the minimal one with
@@ -34,17 +33,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
-from .perms import (
-    Label,
-    Perm,
-    bruhat_leq,
-    cover_partners,
-    labeled_covers,
-    labeled_edges,
-    longest,
-    perm_from_str,
-    perm_to_str,
-)
+from .perms import (Label, Perm, _guard, _label_rows, _ranks, _within, bruhat_leq,
+                    cover_partners, labeled_covers, labeled_edges, longest, perm_from_str,
+                    perm_to_str)
 
 Composition = tuple[int, ...]
 
@@ -100,8 +91,14 @@ def chain_monomial(chain: LabeledChain) -> Composition:
 
 
 def _covers_toward(p: Perm, w: Perm) -> list[tuple[Label, Perm]]:
-    """The labeled covers (lab, v) of p with v <= w, in the order of labeled_covers."""
-    return [(lab, v) for lab, v in labeled_covers(p) if bruhat_leq(v, w)]
+    """
+    The labeled covers (lab, v) of p with v <= w, in the order of labeled_covers:
+    each cover of the swap scan is tested once, with the ranks of w read once.
+    """
+    guard = _guard(len(w))
+    top = _ranks(w) | guard
+    return _label_rows(p, [[(j, v) for j, v in cover_partners(p, i) if _within(v, top, guard)]
+                           for i in range(1, len(p))])
 
 
 def search_toward(w: Perm):
@@ -109,11 +106,10 @@ def search_toward(w: Perm):
     One memoized search for the increasing chains that end at w, shared by
     every start.  Returns (types, near): types(p, last=(0, 0)) maps each type
     of a chain from p to w with every label above last to its number of
-    chains, and near maps each node entered to its covers toward w, in the
-    order of labeled_covers.  The memo is keyed by (node, last label), so a
-    node's types are counted once, not once per chain through it, and its
-    covers are found once.  The dicts types returns belong to the memo: copy
-    one before changing it.
+    chains; near maps each node entered to its covers toward w, one rank test
+    per cover, labels by row in the order of labeled_covers.  The memo is keyed
+    by (node, last label), so a node's types are counted once, not once per
+    chain through it.  The dicts types returns belong to the memo: copy one first.
     """
     unit = {(0,) * (len(w) - 1): 1}  # the types of the empty chain at w
     memo: dict[tuple[Perm, Label], dict[Composition, int]] = {}

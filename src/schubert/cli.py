@@ -12,7 +12,7 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-from .calc import lr_coefficients, schubert, skew, skew_expansion
+from .calc import _check_below, lr_coefficients, schubert, skew, skew_expansion
 from .chains import chain_monomial, chain_to_json_obj, increasing_chains, padded_type
 from .perms import Perm, all_perms, embed_all, perm_from_str, perm_to_str
 from .poly import Poly, poly_to_json_obj, poly_to_text
@@ -196,6 +196,7 @@ def _chain_text(chain) -> str:
 
 def cmd_chains(args: argparse.Namespace) -> int:
     (u, w), n = _resolve([args.u, args.w], args.n)
+    _check_below(u, w)
     wanted = None
     if args.type_ is not None:
         wanted = padded_type([int(x) for x in args.type_.split(",")], n)

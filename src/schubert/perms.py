@@ -162,14 +162,26 @@ def bruhat_covers(u: Perm) -> list[tuple[Perm, tuple[int, int]]]:
 
 def labeled_covers(u: Perm) -> list[tuple[Label, Perm]]:
     """
-    Every labeled edge ((k, b), w) out of u, sorted.  The cover
-    u -> u*(i,j) carries the j - i labels (k, u(i)) with i <= k < j, so a
-    label can sit on several covers; from 1324 the label (1, 1) does:
+    Every labeled edge ((k, b), w) out of u, in sorted order (by row, from
+    _label_rows).  The cover u -> u*(i,j) carries the j - i labels (k, u(i))
+    with i <= k < j, so a label can sit on several covers; from 1324 (1, 1) does:
 
     >>> labeled_covers((1, 3, 2, 4))[:3]
     [((1, 1), (2, 3, 1, 4)), ((1, 1), (3, 1, 2, 4)), ((2, 1), (2, 3, 1, 4))]
     """
-    return sorted(((k, u[i - 1]), w) for w, (i, j) in bruhat_covers(u) for k in range(i, j))
+    return _label_rows(u, [cover_partners(u, i) for i in range(1, len(u))])
+
+
+def _label_rows(u: Perm, partners: list[list[tuple[int, Perm]]]) -> list[tuple[Label, Perm]]:
+    """
+    The edges ((k, u(i)), v), i <= k < j, of the covers (j, v) in partners[i - 1],
+    i < n, each list increasing in j: sorted without a sort, by row k, then by u(i)
+    (positions are taken by value), then by v, which is by decreasing j.
+    """
+    by_value = [(i, u[i - 1], partners[i - 1][::-1]) for i in inverse(u)
+                if i < len(u) and partners[i - 1]]
+    return [((k, b), v) for k in range(1, len(u)) for i, b, down in by_value if i <= k
+            for j, v in down if j > k]
 
 
 def labeled_edges(u: Perm, w: Perm) -> list[Label]:
@@ -182,11 +194,12 @@ def labeled_edges(u: Perm, w: Perm) -> list[Label]:
     >>> labeled_edges((4, 1, 3, 2), (4, 2, 3, 1))
     [(2, 1), (3, 1)]
     """
-    w = tuple(w)
-    labels = [lab for lab, v in labeled_covers(u) if v == w]
-    if not labels:
-        raise ValueError(f"{u} -> {w} is not a cover")
-    return labels
+    moved = [p for p in range(len(u)) if u[p] != w[p]] if len(u) == len(w) else []
+    if len(moved) == 2:
+        i, j = moved
+        if u[i] < u[j] == w[i] and w[j] == u[i] and not any(u[i] < c < u[j] for c in u[i + 1:j]):
+            return [(k, u[i]) for k in range(i + 1, j + 1)]
+    raise ValueError(f"{u} -> {w} is not a cover")
 
 
 def bruhat_leq(u: Perm, w: Perm) -> bool:
@@ -203,7 +216,12 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
     if len(u) != len(w):
         raise ValueError("size mismatch")
     guard = _guard(len(w))
-    return ((_ranks(tuple(w)) | guard) - _ranks(tuple(u))) & guard == guard
+    return _within(tuple(u), _ranks(tuple(w)) | guard, guard)
+
+
+def _within(u: Perm, top: int, guard: int) -> bool:
+    """u <= w for top = _ranks(w) | guard: subtracting the ranks of u clears no guard bit."""
+    return (top - _ranks(u)) & guard == guard
 
 
 def _rank_width(n: int) -> int:

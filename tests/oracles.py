@@ -36,6 +36,23 @@ def cover_graph(n: int) -> dict[Perm, set[Perm]]:
     return succ
 
 
+def labeled_covers_by_sort(u: Perm) -> list:
+    """
+    Every labeled edge ((k, u(i)), v) out of u, sorted.  The covers
+    v = u*(i,j) are the swaps that raise the inversion count by one, and
+    each carries the labels (k, u(i)) for i <= k < j, 1-indexed.
+    """
+    n, lu = len(u), inversion_count(u)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = list(u)
+            v[i], v[j] = v[j], v[i]
+            if inversion_count(v) == lu + 1:
+                edges += [((k, u[i]), tuple(v)) for k in range(i + 1, j + 1)]
+    return sorted(edges)
+
+
 def brute_force_chains(u: Perm, top: int):
     """
     Every increasing chain from u whose end has length at most top, as

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from schubert.chains import (
     LabeledChain,
+    _covers_toward,
     chain_from_json_obj,
     chain_monomial,
     chain_to_json_obj,
@@ -19,7 +20,14 @@ from schubert.chains import (
 )
 from schubert.perms import all_perms, bruhat_covers, labeled_edges, length, longest
 
-from oracles import brute_force_chains, brute_force_rcgraphs, brute_force_type_counts, chain_type
+from oracles import (
+    brute_force_chains,
+    brute_force_rcgraphs,
+    brute_force_type_counts,
+    bruhat_leq_by_sorted_prefixes,
+    chain_type,
+    labeled_covers_by_sort,
+)
 
 CHAIN_1432 = LabeledChain(
     perms=((1, 4, 3, 2), (4, 1, 3, 2), (4, 2, 3, 1), (4, 3, 2, 1)),
@@ -174,6 +182,34 @@ def test_interval_searches_match_the_walk_on_random_climbs(data):
     types, chains = oracle_ends(u, length(w)).get(w, (Counter(), []))
     assert type_counts(u, w) == types
     assert list(increasing_chains(u, w)) == chains
+
+
+def covers_toward_by_oracle(p, w):
+    return [(lab, v) for lab, v in labeled_covers_by_sort(p) if bruhat_leq_by_sorted_prefixes(v, w)]
+
+
+def test_covers_toward_match_the_filtered_oracle_on_s4():
+    # every ordered pair, p not below w included
+    s4 = list(all_perms(4))
+    for p in s4:
+        for w in s4:
+            assert _covers_toward(p, w) == covers_toward_by_oracle(p, w), (p, w)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_covers_toward_match_the_filtered_oracle(data):
+    n = data.draw(st.integers(min_value=5, max_value=8))
+    p = w = tuple(data.draw(st.permutations(range(1, n + 1))))
+    if data.draw(st.booleans()):
+        w = tuple(data.draw(st.permutations(range(1, n + 1))))
+    else:  # a climb from p, so that w is above p and some covers are kept
+        for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
+            edges = labeled_covers_by_sort(w)
+            if not edges:
+                break
+            w = data.draw(st.sampled_from(edges))[1]
+    assert _covers_toward(p, w) == covers_toward_by_oracle(p, w)
 
 
 def test_type_partition_of_total():

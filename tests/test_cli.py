@@ -189,6 +189,13 @@ def test_chains_identity_pair(capsys):
     assert out.strip() == '{"start": "2413", "steps": []}'
 
 
+def test_chains_not_below_errors_as_skew_does(capsys):
+    code, out, err = run(capsys, "chains", "21", "12")
+    assert (code, out) == (1, "")
+    assert err == "error: 21 is not below 12 in the Bruhat order\n"
+    assert run(capsys, "skew", "12", "21") == (1, "", err)
+
+
 def test_chains_type_filter(capsys):
     code, out, _ = run(capsys, "chains", "1432", "4321", "--type", "1,2,0",
                        "--format", "json")

@@ -11,6 +11,7 @@ from schubert.perms import (
     embed,
     identity,
     inverse,
+    labeled_covers,
     labeled_edges,
     length,
     longest,
@@ -24,6 +25,7 @@ from oracles import (
     bruhat_reachable,
     cover_graph,
     inversion_count,
+    labeled_covers_by_sort,
 )
 
 perms_of = lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -121,6 +123,39 @@ def test_labeled_edges_rejects_non_cover():
         labeled_edges((1, 2, 3, 4), (4, 3, 2, 1))
     with pytest.raises(ValueError):
         labeled_edges((1, 2, 3), (1, 2, 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_labeled_covers_match_the_sorted_oracle(n):
+    for u in all_perms(n):
+        assert labeled_covers(u) == labeled_covers_by_sort(u)
+
+
+@given(st.integers(min_value=7, max_value=10).flatmap(perms_of))
+def test_labeled_covers_match_the_sorted_oracle_where_rank_fields_widen(u):
+    assert labeled_covers(u) == labeled_covers_by_sort(u)
+
+
+@given(st.data())
+def test_labeled_edges_match_the_oracle_on_covers_and_non_covers(data):
+    n = data.draw(st.integers(min_value=5, max_value=8))
+    u = data.draw(perms_of(n))
+    edges = labeled_covers_by_sort(u)
+    kind = data.draw(st.sampled_from(["cover", "swap", "any"]))
+    if kind == "cover" and edges:
+        w = data.draw(st.sampled_from(edges))[1]
+    elif kind == "swap":  # two positions swapped: a cover, a step down or a longer step up
+        i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                         unique=True)))
+        w = u[:i] + (u[j],) + u[i + 1:j] + (u[i],) + u[j + 1:]
+    else:
+        w = data.draw(perms_of(n))
+    labels = [lab for lab, v in edges if v == w]
+    if labels:
+        assert labeled_edges(u, w) == labels
+    else:
+        with pytest.raises(ValueError):
+            labeled_edges(u, w)
 
 
 def test_bruhat_leq_examples():
