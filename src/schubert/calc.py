@@ -23,16 +23,8 @@ from functools import lru_cache
 from typing import Iterator
 
 from .chains import chain_monomial, increasing_chains_to_w0, padded_type, type_counts
-from .perms import (
-    Perm,
-    bruhat_leq,
-    compose,
-    cover_partners,
-    embed_all,
-    longest,
-    perm_from_code,
-    perm_to_str,
-)
+from .perms import (Perm, _guard, _is_perm, _ranks, _within, bruhat_leq, compose,
+                    cover_partners, embed_all, longest, perm_from_code, perm_to_str)
 from .poly import (Poly, _reduce, check_composition, divides_staircase, field_width,
                    normal_form, pack, unpack)
 from .rcgraphs import enumerate_rcgraphs, monomial as rc_monomial
@@ -55,7 +47,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=True)
 class SchubertExpansion:
-    """An element of the cohomology ring written in the Schubert basis."""
+    """An element of the cohomology ring written in the Schubert basis.  The
+    constructor checks every key; results built here skip that, by :meth:`_of`."""
 
     n: int
     terms: Mapping[Perm, int]
@@ -67,6 +60,15 @@ class SchubertExpansion:
         for w in self.terms:
             if len(w) != self.n:
                 raise ValueError(f"{w} does not lie in S_{self.n}")
+            _is_perm(w)
+
+    @classmethod
+    def _of(cls, n: int, terms: dict[Perm, int]) -> "SchubertExpansion":
+        """Wrap a dict of permutations of S_n to nonzero coefficients, unchecked."""
+        e = object.__new__(cls)
+        fields = e.__dict__  # frozen: fill the instance dict directly
+        fields["n"], fields["terms"] = n, terms
+        return e
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.terms.items())))
@@ -198,7 +200,7 @@ def _expand(work: dict[int, int], n: int) -> SchubertExpansion:
         return steps
 
     _reduce(work, n, _width(n), peel)
-    return SchubertExpansion(n, out)
+    return SchubertExpansion._of(n, out)
 
 
 @lru_cache(maxsize=4096)
@@ -239,12 +241,19 @@ def lr_coefficients(
     The product vanishes in H*(Fl_n) exactly when u is not below w0 v in
     the Bruhat order (the Richardson variety is empty; this covers
     length(u) + length(v) > length(w0)), so that case returns the empty
-    expansion at once.  Otherwise one pass reduces and expands the product.
+    expansion at once, by one int subtraction from :func:`_top_of_w0_times`
+    of v.  Otherwise one pass reduces and expands the product.
     """
     (u, v), n = embed_all([u, v], n)
-    if not bruhat_leq(u, _w0_times(v)):
-        return SchubertExpansion(n, {})
+    if not _within(u, _top_of_w0_times(v), _guard(n)):
+        return SchubertExpansion._of(n, {})
     return _expand(_packed_product(u, v, n), n)
+
+
+@lru_cache(maxsize=4096)
+def _top_of_w0_times(v: Perm) -> int:
+    """The rank fields of w0 v, guards set: u <= w0 v iff _within(u, top, guard)."""
+    return _ranks(_w0_times(v)) | _guard(len(v))
 
 
 def pieri(u: Sequence[int], a: int, k: int, n: int | None = None) -> SchubertExpansion:
@@ -273,7 +282,7 @@ def pieri(u: Sequence[int], a: int, k: int, n: int | None = None) -> SchubertExp
                         walk(v, steps + 1, b)
 
     walk(u, 0, 0)
-    return SchubertExpansion(n, counts)
+    return SchubertExpansion._of(n, counts)
 
 
 def psi_alpha(f: SchubertExpansion, alpha: Sequence[int], n: int) -> int:
@@ -281,21 +290,25 @@ def psi_alpha(f: SchubertExpansion, alpha: Sequence[int], n: int) -> int:
     The coefficient of the longest-permutation class in f * h_alpha,
     computed by iterating the Pieri rule over the parts of alpha.
     """
-    alpha = check_composition(alpha, n)
-    current: dict[Perm, int] = dict(f.terms)
-    for i, a in enumerate(alpha, start=1):
-        if a == 0:
-            continue
-        nxt: dict[Perm, int] = {}
-        for w, c in current.items():
-            for z, m in pieri(w, a, i, n).terms.items():
-                s = nxt.get(z, 0) + c * m
-                if s:
-                    nxt[z] = s
-                elif z in nxt:
-                    del nxt[z]
-        current = nxt
+    current: Mapping[Perm, int] = f.terms
+    for i, a in enumerate(check_composition(alpha, n), start=1):
+        current = _pieri_step(current, a, i, n)
     return current.get(longest(n), 0)
+
+
+def _pieri_step(current: Mapping[Perm, int], a: int, i: int, n: int) -> Mapping[Perm, int]:
+    """The terms of current * h_a(x_1, ..., x_i), by the Pieri rule on each S_w."""
+    if a == 0:
+        return current
+    nxt: dict[Perm, int] = {}
+    for w, c in current.items():
+        for z, m in pieri(w, a, i, n).terms.items():
+            s = nxt.get(z, 0) + c * m
+            if s:
+                nxt[z] = s
+            elif z in nxt:
+                del nxt[z]
+    return nxt
 
 
 def psi_alpha_normal_form(reduced: Poly, alpha: Sequence[int], n: int) -> int:
@@ -303,12 +316,8 @@ def psi_alpha_normal_form(reduced: Poly, alpha: Sequence[int], n: int) -> int:
     The same functional read off the normal form of f, reduced =
     normal_form(f.as_poly(), n): the coefficient of x^delta / x^alpha.
     """
-    alpha = tuple(alpha)
-    delta = tuple(range(n - 1, -1, -1))
-    target = tuple(d - a for d, a in zip(delta, alpha + (0,) * (n - len(alpha))))
-    if any(t < 0 for t in target):
-        raise ValueError(f"{alpha} does not fit under the staircase")
-    return reduced.coefficient(target)
+    alpha = check_composition(alpha, n)
+    return reduced.coefficient(tuple(n - i - a for i, a in enumerate(alpha + (0,), 1)))
 
 
 def skew_expansion(w: Perm, u: Perm, n: int) -> SchubertExpansion:

@@ -269,22 +269,36 @@ def embed(w: Perm, m: int) -> Perm:
     return w + tuple(range(len(w) + 1, m + 1))
 
 
+@lru_cache(maxsize=8192)
+def _is_perm(w: tuple) -> bool:
+    """True, or the ValueError of :func:`as_perm`, which is not cached.  Equal
+    tuples such as (1, 2) and (1.0, 2.0) share the entry: a verdict, not w."""
+    as_perm(w)
+    return True
+
+
 def embed_all(
     ws: Sequence[Sequence[int]], n: int | None = None
 ) -> tuple[list[Perm], int]:
     """
     Validate each permutation and embed all of them into S_n; n defaults
-    to the largest size among them.
+    to the largest size among them.  Each comes back as tuple(w), embedded
+    only when shorter than n; the verdict on it is cached (:func:`_is_perm`).
 
     >>> embed_all([(1, 3, 2), (2, 1)])
     ([(1, 3, 2), (2, 1, 3)], 3)
     >>> embed_all([(2, 1)], 4)
     ([(2, 1, 3, 4)], 4)
     """
-    perms = [as_perm(w) for w in ws]
+    perms = [tuple(w) for w in ws]
+    for w in perms:
+        try:
+            _is_perm(w)
+        except TypeError:  # an unhashable or unordered entry: as_perm raises as before
+            as_perm(w)
     if n is None:
         n = max(len(w) for w in perms)
-    return [embed(w, n) for w in perms], n
+    return [w if len(w) == n else embed(w, n) for w in perms], n
 
 
 def all_perms(n: int) -> Iterator[Perm]:

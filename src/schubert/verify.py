@@ -6,17 +6,16 @@ These back the ``verify`` CLI subcommand.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass, field
 
 from .calc import (
     SchubertExpansion,
+    _pieri_step,
     corollary_sides,
     expand_in_schubert_basis,
     pieri,
-    psi_alpha,
     psi_alpha_normal_form,
     schubert,
     skew,
@@ -152,12 +151,18 @@ def suite_pieri(rep: Report) -> None:
                 via_poly = expand_in_schubert_basis(product, n)
                 rep.note(via_chains == via_poly,
                          f"pieri({perm_to_str(u)}, a={a}, k={k}) mismatch")
+    w0 = longest(n)
     for w in all_perms(n):
         f = SchubertExpansion(n, {w: 1})
         reduced = normal_form(f.as_poly(), n)
-        # all alpha with 0 <= alpha_i <= n - i, in lexicographic order
-        for alpha in itertools.product(*(range(n - i + 1) for i in range(1, n))):
-            lhs = psi_alpha(f, alpha, n)
+        # psi_alpha's Pieri steps, taken once per prefix of the alphas with
+        # 0 <= alpha_i <= n - i, which stay in lexicographic order
+        terms_of = {(): f.terms}
+        for i in range(1, n):
+            terms_of = {alpha + (a,): _pieri_step(terms, a, i, n)
+                        for alpha, terms in terms_of.items() for a in range(n - i + 1)}
+        for alpha, terms in terms_of.items():
+            lhs = terms.get(w0, 0)
             rhs = psi_alpha_normal_form(reduced, alpha, n)
             rep.note(lhs == rhs,
                      f"psi_{alpha}(S_{perm_to_str(w)}): {lhs} != {rhs}")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
@@ -12,6 +13,7 @@ from schubert.calc import (
     lr_coefficients,
     pieri,
     psi_alpha,
+    psi_alpha_normal_form,
     schubert,
     schur_oracle,
     skew,
@@ -21,6 +23,7 @@ from schubert.calc import (
 from schubert.chains import type_counts
 from schubert.perms import (
     _guard,
+    _is_perm,
     _ranks,
     all_perms,
     bruhat_leq,
@@ -39,6 +42,7 @@ from schubert.poly import (
     staircase_exponent,
 )
 from schubert.schur import grassmannian_descent, grassmannian_shape
+from schubert.verify import run_suite
 
 x1, x2 = Poly.variable(1), Poly.variable(2)
 
@@ -84,6 +88,8 @@ def test_caches_are_bounded_and_hit():
     assert calc._w0_times.cache_info().maxsize == 4096
     assert _ranks.cache_info().maxsize == 8192
     assert _guard.cache_info().maxsize == 64
+    assert _is_perm.cache_info().maxsize == 8192
+    assert calc._top_of_w0_times.cache_info().maxsize == 4096
     assert poly._reduction_basis.cache_info().maxsize == 16
     before = calc._schubert.cache_info().hits
     first = schubert((2, 4, 1, 3), 4)
@@ -93,6 +99,11 @@ def test_caches_are_bounded_and_hit():
     before = poly._reduction_basis.cache_info().hits
     normal_form(first, 4)
     assert poly._reduction_basis.cache_info().hits == before + 1
+    lr_coefficients((2, 1, 3), (1, 3, 2), 3)
+    before = _is_perm.cache_info().hits, calc._top_of_w0_times.cache_info().hits
+    lr_coefficients([2, 1, 3], [1, 3, 2], 3)
+    assert _is_perm.cache_info().hits == before[0] + 2
+    assert calc._top_of_w0_times.cache_info().hits == before[1] + 1
 
 
 # --- skew polynomials -------------------------------------------------------
@@ -164,6 +175,25 @@ def test_expansion_hash_agrees_with_eq():
     b = SchubertExpansion(3, {(2, 3, 1): 1, (3, 1, 2): 1, (1, 2, 3): 0})
     assert a == b and hash(a) == hash(b)
     assert len({a, b, SchubertExpansion(3, {})}) == 2
+
+
+def test_expansion_rejects_a_key_outside_s_n():
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3: \(1, 1, 1\)"):
+        SchubertExpansion(3, {(1, 1, 1): 2})
+    with pytest.raises(ValueError, match="does not lie in S_3"):
+        SchubertExpansion(3, {(2, 1): 1})
+    assert SchubertExpansion(3, {(1, 1, 1): 0}) == SchubertExpansion(3, {})
+
+
+def test_unchecked_expansions_equal_checked_ones_on_s4():
+    for u in all_perms(4):
+        for v in all_perms(4):
+            e = lr_coefficients(u, v, 4)
+            checked = SchubertExpansion(4, dict(e.terms))
+            assert e == checked and hash(e) == hash(checked), (u, v)
+            assert SchubertExpansion._of(4, dict(e.terms)) == checked, (u, v)
+    with pytest.raises(FrozenInstanceError):
+        e.n = 5
 
 
 def test_expansion_rejects_outside_span():
@@ -322,6 +352,36 @@ def test_psi_alpha_counts_chains():
         f = SchubertExpansion(n, {w: 1})
         for counts_alpha, expected in type_counts(w, longest(n)).items():
             assert psi_alpha(f, counts_alpha, n) == expected
+
+
+@pytest.mark.parametrize("alpha", [(2, 1, 0, 7), (2,), (), (0, 0, 0), (3, 0), (0, 2),
+                                   (-1, 0)])
+def test_both_psi_reads_reject_the_same_alphas(alpha):
+    f = SchubertExpansion(3, {identity(3): 1})
+    reduced = normal_form(f.as_poly(), 3)
+    with pytest.raises(ValueError) as via_pieri:
+        psi_alpha(f, alpha, 3)
+    with pytest.raises(ValueError) as via_normal_form:
+        psi_alpha_normal_form(reduced, alpha, 3)
+    assert str(via_pieri.value) == str(via_normal_form.value)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_both_psi_reads_agree_on_every_alpha(n):
+    w0 = longest(n)
+    fs = [SchubertExpansion(n, {w: 1}) for w in all_perms(n)]
+    fs.append(SchubertExpansion(n, {identity(n): 2, (2, 1) + identity(n)[2:]: -3, w0: 1}))
+    for f in fs:
+        reduced = normal_form(f.as_poly(), n)
+        for alpha in product(*(range(n - i + 1) for i in range(1, n))):
+            assert psi_alpha(f, alpha, n) == psi_alpha_normal_form(reduced, alpha, n), alpha
+
+
+@pytest.mark.parametrize("n, checks", [(1, 1), (2, 12), (3, 84), (5, 15840)])
+def test_pieri_suite_checks_every_alpha_once(n, checks):
+    # the suite shares the Pieri steps of each alpha prefix; n = 4 is criterion 5
+    rep = run_suite("pieri", n)
+    assert (rep.status, rep.checks) == ("PASS", checks)
 
 
 def test_psi_alpha_rejects_bad_composition():

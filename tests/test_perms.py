@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schubert.perms import (
+    _is_perm,
     all_perms,
     as_perm,
     bruhat_covers,
@@ -9,6 +10,7 @@ from schubert.perms import (
     code,
     compose,
     embed,
+    embed_all,
     identity,
     inverse,
     labeled_covers,
@@ -209,6 +211,46 @@ def test_as_perm_rejects_junk():
         as_perm((1, 1, 2))
     with pytest.raises(ValueError):
         as_perm((0, 1, 2))
+
+
+def test_embed_all_raises_on_every_call():
+    # the verdict cache keeps no failure, so a bad input raises each time
+    for _ in range(3):
+        with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3: \(1, 1, 2\)"):
+            embed_all([(1, 3, 2), (1, 1, 2)])
+    with pytest.raises(ValueError, match="cannot embed size 3 into smaller size 2"):
+        embed_all([(2, 1, 3)], 2)
+    with pytest.raises(ValueError, match="not a permutation"):
+        embed_all([([1],)])  # an unhashable entry is checked uncached
+    with pytest.raises(TypeError):
+        embed_all([([1], 2)])
+
+
+def test_embed_all_takes_lists():
+    assert embed_all([[2, 1], [1, 3, 2]]) == ([(2, 1, 3), (1, 3, 2)], 3)
+    assert embed_all(([1],), 2) == ([(1, 2)], 2)
+
+
+@pytest.mark.parametrize("first, second", [((1.0, 2.0), (1, 2)), ((1, 2), (1.0, 2.0)),
+                                           ((True, 2), (1, 2))])
+def test_embed_all_returns_what_the_caller_passed(first, second):
+    # equal tuples share one cache entry: it holds the verdict, not the tuple
+    _is_perm.cache_clear()
+    for w in (first, second, first):
+        (out,), n = embed_all([w], 2)
+        assert out is w and n == 2
+        assert list(map(type, out)) == list(map(type, w))
+    (out,), _ = embed_all([first], 3)
+    assert out == first + (3,) and list(map(type, out)) == list(map(type, first)) + [int]
+
+
+@given(st.data())
+def test_embed_all_embeds_each_validated_permutation(data):
+    ws = data.draw(st.lists(st.integers(1, 8).flatmap(perms_of), min_size=1, max_size=4))
+    ws = [data.draw(st.sampled_from([w, list(w)])) for w in ws]
+    n = data.draw(st.none() | st.integers(max(map(len, ws)), 10))
+    size = max(map(len, ws)) if n is None else n
+    assert embed_all(ws, n) == ([embed(as_perm(w), size) for w in ws], size)
 
 
 @given(small_perms)
