@@ -7,9 +7,9 @@ The three skew routes:
 
 * ``normalform``: reduce S_u * S_{w0 w} modulo <e_1, ..., e_n>.
 * ``chains``: sum x^delta / x^gamma over increasing chains from u to w.
-* ``lr``: expand the product in the Schubert basis in the pass that
-  reduces it and rebuild the polynomial from the coefficients; the
-  expansion indices z correspond to structure constants c^w_{u, w0 z}.
+* ``lr``: rebuild the polynomial from the LR coefficients of that
+  product (:func:`lr_coefficients`); the expansion indices z correspond
+  to structure constants c^w_{u, w0 z}.
 
 All agree exactly; the test suite exercises that on full symmetric groups.
 """
@@ -28,7 +28,6 @@ from .perms import (Perm, _guard, _is_perm, _ranks, _within, bruhat_leq, compose
 from .poly import (Poly, _reduce, check_composition, divides_staircase, field_width,
                    normal_form, pack, unpack)
 from .rcgraphs import enumerate_rcgraphs, monomial as rc_monomial
-from .schur import schur_oracle  # re-exported: test support, public API
 
 __all__ = [
     "SchubertExpansion",
@@ -41,7 +40,6 @@ __all__ = [
     "psi_alpha",
     "psi_alpha_normal_form",
     "verify_corollary",
-    "schur_oracle",
 ]
 
 
@@ -136,7 +134,7 @@ def skew(
         return _chain_sum(type_counts(u, w), n)
     w0w = _w0_times(w)
     if method == "lr":
-        return _expand(_packed_product(u, w0w, n), n).as_poly()
+        return lr_coefficients(u, w0w, n).as_poly()
     if method == "normalform":
         return normal_form(schubert(u, n) * schubert(w0w, n), n)
     raise ValueError(f"unknown method {method!r}")
@@ -322,12 +320,12 @@ def psi_alpha_normal_form(reduced: Poly, alpha: Sequence[int], n: int) -> int:
 
 def skew_expansion(w: Perm, u: Perm, n: int) -> SchubertExpansion:
     """
-    The Schubert expansion of the skew polynomial of w over u, in the pass
-    that reduces S_u * S_{w0 w}.
+    The Schubert expansion of the skew polynomial of w over u: the LR
+    coefficients of S_u * S_{w0 w}, which does not vanish as u <= w.
     """
     (w, u), n = embed_all([w, u], n)
     _check_below(u, w)
-    return _expand(_packed_product(u, _w0_times(w), n), n)
+    return lr_coefficients(u, _w0_times(w), n)
 
 
 def corollary_sides(u: Perm, w: Perm, expansion: SchubertExpansion,

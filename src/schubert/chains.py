@@ -33,9 +33,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
-from .perms import (Label, Perm, _guard, _label_rows, _ranks, _within, bruhat_leq,
-                    cover_partners, labeled_covers, labeled_edges, longest, perm_from_str,
-                    perm_to_str)
+from .perms import (Label, Perm, _guard, _json_int, _label_rows, _ranks, _within,
+                    bruhat_leq, cover_partners, labeled_covers, labeled_edges, longest,
+                    perm_from_str, perm_to_str)
 
 Composition = tuple[int, ...]
 
@@ -250,7 +250,7 @@ def chain_from_json_obj(obj: dict, end: Perm | None = None) -> LabeledChain:
     further.  Raises ValueError when no walk fits or several still do.
     """
     start = perm_from_str(obj["start"])
-    wanted = tuple((int(k), int(b)) for k, b in obj["steps"])
+    wanted = tuple((_json_int(k), _json_int(b)) for k, b in obj["steps"])
 
     walks: list[tuple[Perm, ...]] = []
 

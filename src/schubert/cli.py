@@ -59,8 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--all", action="store_true",
                    help="every ordered pair u, v of S_n (needs --n) instead of one")
-    p.add_argument("--out", default=None,
-                   help="append records to this cache file instead of stdout")
 
     p = add_parser("rcgraphs", "enumerate the rc-graphs of w")
     p.add_argument("w")
@@ -132,58 +130,26 @@ def _lr_pairs(args: argparse.Namespace) -> tuple[Iterable[tuple[Perm, Perm]], in
 
 def cmd_lr(args: argparse.Namespace) -> int:
     pairs, n = _lr_pairs(args)
-    records = (
-        {"n": n, "u": perm_to_str(u), "v": perm_to_str(v), "w": w, "c": c}
-        for u, v in pairs
-        for w, c in lr_coefficients(u, v, n).to_json_obj().items()
-    )
-    if args.out:
-        written = 0
-        with open(args.out, "a", encoding="utf-8", newline="\n") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-                written += 1
-        print(f"appended {written} records to {args.out}", file=sys.stderr)
-        return 0
-    for rec in records:
-        if args.format == "json":
-            print(json.dumps(rec, sort_keys=True))
-        elif args.all:
-            print(f"{rec['u']} {rec['v']} {rec['w']} {rec['c']}")
-        else:
-            print(f"{rec['w']} {rec['c']}")
+    for u, v in pairs:
+        us, vs = perm_to_str(u), perm_to_str(v)
+        for w, c in lr_coefficients(u, v, n).to_json_obj().items():
+            if args.format == "json":
+                print(json.dumps({"n": n, "u": us, "v": vs, "w": w, "c": c}, sort_keys=True))
+            elif args.all:
+                print(f"{us} {vs} {w} {c}")
+            else:
+                print(f"{w} {c}")
     return 0
-
-
-def load_lr_table(path: str) -> dict[tuple[int, str, str, str], int]:
-    """Load a cache file, deduplicating repeated records."""
-    table: dict[tuple[int, str, str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            key = (int(rec["n"]), rec["u"], rec["v"], rec["w"])
-            c = int(rec["c"])
-            if table.get(key, c) != c:
-                raise ValueError(f"conflicting records for {key}")
-            table[key] = c
-    return table
 
 
 def cmd_rcgraphs(args: argparse.Namespace) -> int:
     (w,), n = _resolve([args.w], args.n)
     render = args.render or ("json" if args.format == "json" else "ascii")
-    first = True
-    for graph in enumerate_rcgraphs(w):
+    for i, graph in enumerate(enumerate_rcgraphs(w)):
         if render == "json":
             print(json.dumps(rcgraph_to_json_obj(graph)))
-        else:
-            if not first:
-                print()
-            print(render_ascii(graph))
-            first = False
+        else:  # blocks separated by a blank line
+            print(("\n" if i else "") + render_ascii(graph))
     return 0
 
 

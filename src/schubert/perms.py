@@ -21,24 +21,19 @@ Perm = tuple[int, ...]
 Label = tuple[int, int]
 
 
-def is_permutation(seq: Sequence[int]) -> bool:
-    """
-    Check that seq is a rearrangement of 1..n.
-
-    >>> is_permutation((2, 4, 1, 3))
-    True
-    >>> is_permutation((1, 1, 2))
-    False
-    """
-    return sorted(seq) == list(range(1, len(seq) + 1))
-
-
 def as_perm(seq: Sequence[int]) -> Perm:
-    """Coerce to a validated permutation tuple."""
+    """Coerce to a tuple, checked to be a rearrangement of 1..n."""
     w = tuple(seq)
-    if not is_permutation(w):
+    if sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
     return w
+
+
+def _json_int(x) -> int:
+    """x, checked to be an int, not a bool: JSON readers reject 2.7 or true."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"not an integer: {x!r}")
+    return x
 
 
 def identity(n: int) -> Perm:

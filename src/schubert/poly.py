@@ -27,6 +27,8 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator
 
+from .perms import _json_int
+
 Exponents = tuple[int, ...]
 
 
@@ -468,5 +470,5 @@ def poly_from_json_obj(obj: list[dict]) -> Poly:
     terms: Counter = Counter()
     for entry in obj:
         # trimmed per term: a negative exponent raises even where terms cancel
-        terms[trim(entry["exp"])] += int(entry["coef"])
+        terms[trim(map(_json_int, entry["exp"]))] += _json_int(entry["coef"])
     return Poly(terms)

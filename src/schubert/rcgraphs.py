@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .chains import LabeledChain, cell_type, check_chain, increasing_chains_to_w0
-from .perms import Label, Perm, length, longest
+from .perms import Label, Perm, _json_int, length, longest
 
 
 def staircase(n: int) -> frozenset[Label]:
@@ -145,7 +145,8 @@ def rcgraph_to_json_obj(graph: RcGraph) -> dict:
 
 
 def rcgraph_from_json_obj(obj: dict) -> RcGraph:
-    return RcGraph(int(obj["n"]), {(int(k), int(b)) for k, b in obj["crossings"]})
+    return RcGraph(_json_int(obj["n"]),
+                   {(_json_int(k), _json_int(b)) for k, b in obj["crossings"]})
 
 
 def render_ascii(graph: RcGraph) -> str:

@@ -7,7 +7,7 @@ These back the ``verify`` CLI subcommand.
 from __future__ import annotations
 
 import random
-import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .calc import (
@@ -22,7 +22,7 @@ from .calc import (
     skew_expansion,
 )
 from .chains import chain_monomial, increasing_chains_to_w0, search_toward
-from .perms import Perm, all_perms, bruhat_leq, length, longest, perm_to_str
+from .perms import Perm, all_perms, bruhat_leq, longest, perm_to_str
 from .poly import Poly, complete_h, normal_form
 from .rcgraphs import chain_of_rcgraph, enumerate_rcgraphs, monomial, rcgraph_of_chain
 
@@ -43,10 +43,11 @@ class Report:
         """FAIL on any failure, SKIP when nothing was checked, else PASS."""
         return "FAIL" if self.failures else "PASS" if self.checks else "SKIP"
 
-    def note(self, ok: bool, message: str) -> None:
+    def note(self, ok: bool, message: Callable[[], str]) -> None:
+        """Count one check; on failure, record message(), built only then."""
         self.checks += 1
         if not ok:
-            self.failures.append(message)
+            self.failures.append(message())
 
 
 def run_suite(suite: str, n: int = 4, seed: int = 0) -> Report:
@@ -81,21 +82,21 @@ def suite_bijection(rep: Report) -> None:
         graphs = list(enumerate_rcgraphs(w))
         chains = list(increasing_chains_to_w0(w))
         rep.note(len(graphs) == len(chains),
-                 f"{perm_to_str(w)}: {len(graphs)} graphs vs {len(chains)} chains")
+                 lambda: f"{perm_to_str(w)}: {len(graphs)} graphs vs {len(chains)} chains")
         rep.note(len(set(g.crossings for g in graphs)) == len(graphs),
-                 f"{perm_to_str(w)}: duplicate rc-graphs")
+                 lambda: f"{perm_to_str(w)}: duplicate rc-graphs")
         for graph in graphs:
             chain = chain_of_rcgraph(graph)
             rep.note(rcgraph_of_chain(chain) == graph,
-                     f"{perm_to_str(w)}: round trip failed")
+                     lambda: f"{perm_to_str(w)}: round trip failed")
             rep.note(complementary(graph, chain),
-                     f"{perm_to_str(w)}: x^R * x^gamma != x^delta")
+                     lambda: f"{perm_to_str(w)}: x^R * x^gamma != x^delta")
         # enumerate_rcgraphs lists the complements of the chains in chain order
         for graph, chain in zip(graphs, chains):
             rep.note(chain_of_rcgraph(rcgraph_of_chain(chain)) == chain,
-                     f"{perm_to_str(w)}: chain round trip failed")
+                     lambda: f"{perm_to_str(w)}: chain round trip failed")
             rep.note(complementary(graph, chain),
-                     f"{perm_to_str(w)}: rc-graph and chain listed together differ")
+                     lambda: f"{perm_to_str(w)}: rc-graph and chain listed together differ")
 
 
 # seeded pairs suite_routes draws above S_4; the largest a and k suite_pieri checks
@@ -122,7 +123,7 @@ def suite_routes(rep: Report) -> None:
         b = skew(w, u, n, method="chains")
         c = skew(w, u, n, method="lr")
         rep.note(a == b and b == c,
-                 f"skew({perm_to_str(w)}/{perm_to_str(u)}) routes disagree")
+                 lambda: f"skew({perm_to_str(w)}/{perm_to_str(u)}) routes disagree")
 
 
 def suite_corollary(rep: Report) -> None:
@@ -136,8 +137,8 @@ def suite_corollary(rep: Report) -> None:
             if bruhat_leq(u, w):
                 lhs, rhs = corollary_sides(u, w, skew_expansion(w, u, n),
                                            lambda p, q: (to_w if q == w else to_w0)(p))
-                rep.note(lhs == rhs,
-                         f"type counts differ for ({perm_to_str(u)}, {perm_to_str(w)})")
+                rep.note(lhs == rhs, lambda: "type counts differ for "
+                                             f"({perm_to_str(u)}, {perm_to_str(w)})")
 
 
 def suite_pieri(rep: Report) -> None:
@@ -150,7 +151,7 @@ def suite_pieri(rep: Report) -> None:
                 product = normal_form(schubert(u, n) * complete_h(a, k), n)
                 via_poly = expand_in_schubert_basis(product, n)
                 rep.note(via_chains == via_poly,
-                         f"pieri({perm_to_str(u)}, a={a}, k={k}) mismatch")
+                         lambda: f"pieri({perm_to_str(u)}, a={a}, k={k}) mismatch")
     w0 = longest(n)
     for w in all_perms(n):
         f = SchubertExpansion(n, {w: 1})
@@ -165,7 +166,7 @@ def suite_pieri(rep: Report) -> None:
             lhs = terms.get(w0, 0)
             rhs = psi_alpha_normal_form(reduced, alpha, n)
             rep.note(lhs == rhs,
-                     f"psi_{alpha}(S_{perm_to_str(w)}): {lhs} != {rhs}")
+                     lambda: f"psi_{alpha}(S_{perm_to_str(w)}): {lhs} != {rhs}")
 
 
 def suite_stability(rep: Report) -> None:
@@ -180,8 +181,8 @@ def suite_stability(rep: Report) -> None:
         for u, w in pairs:
             small = skew(w, u, m)
             big = skew(w, u, m + 1)
-            rep.note(small * shift == big,
-                     f"stability fails for ({perm_to_str(u)}, {perm_to_str(w)}) at {m}")
+            rep.note(small * shift == big, lambda: "stability fails for "
+                                                   f"({perm_to_str(u)}, {perm_to_str(w)}) at {m}")
 
 
 _SUITES = {
@@ -192,18 +193,3 @@ _SUITES = {
     "stability": suite_stability,
 }
 SUITES = tuple(_SUITES)
-
-
-def measure_enumeration(w: Perm) -> dict:
-    """
-    Time one full chain enumeration for w.  Returns n, the number of steps
-    per chain l, the chain count c, the wall time, and the unit cost
-    time / (n * l * c).
-    """
-    n = len(w)
-    l = n * (n - 1) // 2 - length(w)
-    t0 = time.perf_counter()
-    c = sum(1 for _ in increasing_chains_to_w0(w))
-    elapsed = time.perf_counter() - t0
-    unit = elapsed / (n * l * c) if l and c else float("nan")
-    return {"w": w, "n": n, "l": l, "c": c, "time": elapsed, "unit": unit}

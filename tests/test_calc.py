@@ -4,7 +4,12 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import max_ordered_normal_form
+from oracles import (
+    grassmannian_descent,
+    grassmannian_shape,
+    max_ordered_normal_form,
+    schur_oracle,
+)
 
 from schubert import calc, poly
 from schubert.calc import (
@@ -15,7 +20,6 @@ from schubert.calc import (
     psi_alpha,
     psi_alpha_normal_form,
     schubert,
-    schur_oracle,
     skew,
     skew_expansion,
     verify_corollary,
@@ -41,7 +45,6 @@ from schubert.poly import (
     poly_from_text,
     staircase_exponent,
 )
-from schubert.schur import grassmannian_descent, grassmannian_shape
 from schubert.verify import run_suite
 
 x1, x2 = Poly.variable(1), Poly.variable(2)

@@ -1,12 +1,14 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from schubert.calc import skew_expansion
+from schubert.calc import skew, skew_expansion
 from schubert.chains import chain_from_json_obj, count_by_type
-from schubert.cli import load_lr_table, main
+from schubert.cli import main
 from schubert.perms import all_perms, perm_to_str
-from schubert.poly import poly_from_json_obj
+from schubert.poly import Poly, poly_from_json_obj
 from schubert.rcgraphs import rcgraph_from_json_obj
 from schubert.verify import SUITES, Report, run_suite
 
@@ -91,20 +93,13 @@ def test_lr_json_and_cache(tmp_path, capsys):
         {"c": 1, "n": 3, "u": "213", "v": "132", "w": "231"},
         {"c": 1, "n": 3, "u": "213", "v": "132", "w": "312"},
     ]
-    cache = tmp_path / "lr.ndjson"
-    code, out, err = run(capsys, "lr", "213", "132", "--n", "3", "--out", str(cache))
-    assert code == 0
-    assert not out
-    # appending the same rows twice still loads to one entry each
-    run(capsys, "lr", "213", "132", "--n", "3", "--out", str(cache))
-    table = load_lr_table(str(cache))
-    assert table == {(3, "213", "132", "231"): 1, (3, "213", "132", "312"): 1}
-    text = cache.read_text(encoding="utf-8")
-    assert len(text.splitlines()) == 4
-    assert text.endswith("\n")
+    # the cache file is this output appended by the shell; lr writes no file
+    with pytest.raises(SystemExit):
+        main(["lr", "213", "132", "--out", str(tmp_path / "lr.ndjson")])
+    assert not list(tmp_path.iterdir())
 
 
-def test_lr_all_matches_single_pairs(tmp_path, capsys):
+def test_lr_all_matches_single_pairs(capsys):
     expected = "".join(
         run(capsys, "lr", perm_to_str(u), perm_to_str(v), "--format", "json")[1]
         for u in all_perms(3) for v in all_perms(3)
@@ -117,11 +112,6 @@ def test_lr_all_matches_single_pairs(tmp_path, capsys):
     assert text.splitlines() == [
         "{u} {v} {w} {c}".format(**json.loads(line)) for line in out.splitlines()
     ]
-    cache = tmp_path / "lr3.ndjson"
-    code, _, err = run(capsys, "lr", "--all", "--n", "3", "--out", str(cache))
-    assert code == 0
-    assert err == f"appended 21 records to {cache}\n"
-    assert cache.read_text(encoding="utf-8") == out
 
 
 @pytest.mark.parametrize("argv", [
@@ -161,6 +151,23 @@ def test_rcgraphs_json_round_trip(capsys):
         obj = json.loads(line)
         graph = rcgraph_from_json_obj(obj)
         assert json.dumps(rcgraph_to_json_roundtrip(graph)) == line
+
+
+@pytest.mark.parametrize("read, bad, good", [
+    (poly_from_json_obj, [{"exp": [1], "coef": 2.7}], [{"exp": [1], "coef": 2}]),
+    (poly_from_json_obj, [{"exp": [1.5], "coef": 1}], [{"exp": [1], "coef": 1}]),
+    (poly_from_json_obj, [{"exp": [1], "coef": True}], [{"exp": [1], "coef": 1}]),
+    (rcgraph_from_json_obj, {"n": 3.9, "crossings": [[1.7, 1]]}, {"n": 3, "crossings": [[1, 1]]}),
+    (rcgraph_from_json_obj, {"n": 3, "crossings": [[1, 1.0]]}, {"n": 3, "crossings": [[1, 1]]}),
+    (chain_from_json_obj, {"start": "213", "steps": [[2.0, 1]]},
+     {"start": "213", "steps": [[2, 1]]}),
+    (chain_from_json_obj, {"start": "213", "steps": [[2, True]]},
+     {"start": "213", "steps": [[2, 1]]}),
+])
+def test_json_readers_reject_non_integers(read, bad, good):
+    read(good)
+    with pytest.raises(ValueError, match="not an integer"):
+        read(bad)
 
 
 def rcgraph_to_json_roundtrip(graph):
@@ -309,10 +316,22 @@ def test_run_suite_keeps_checks_counted_before_an_exception(monkeypatch):
 def test_report_status():
     rep = Report("routes", 3, 0)
     assert rep.status == "SKIP"
-    rep.note(True, "ok")
+    rep.note(True, lambda: "ok")
     assert rep.status == "PASS"
-    rep.note(False, "broken")
+    rep.note(False, lambda: "broken")
     assert rep.status == "FAIL" and not rep.passed
+
+
+def test_a_failing_check_reports_its_message(monkeypatch):
+    def chains_off_by_one(w, u, n, method="normalform"):
+        p = skew(w, u, n, method=method)
+        return p + Poly.one() if method == "chains" else p
+
+    monkeypatch.setattr("schubert.verify.skew", chains_off_by_one)
+    rep = run_suite("routes", 3)
+    assert rep.status == "FAIL" and rep.checks == len(rep.failures) == 19
+    assert rep.failures[0] == "skew(123/123) routes disagree"
+    assert "skew(321/231) routes disagree" in rep.failures
 
 
 def test_run_suite_rejects_unknown():
@@ -325,3 +344,34 @@ def test_run_suite_rejects_unknown():
 def test_run_suite_rejects_n_below_one(suite, n):
     with pytest.raises(ValueError, match="n must be at least 1"):
         run_suite(suite, n)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# the README's CLI lines whose comment is what they print
+README_OUTPUTS = {
+    "schub schubert 1324 --n 4": "x1 + x2",
+    "schub skew 2413 1324 --n 4 --expand": '{"3241":1,"3412":1,"4132":1}',
+}
+
+
+def readme_cli_lines() -> dict[str, str]:
+    """Each schub line of the README's CLI block: command -> comment."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.partition("#") for line in block.splitlines() if line.startswith("schub ")]
+    return {command.strip(): comment.strip() for command, _, comment in lines}
+
+
+def test_readme_shows_what_these_lines_print():
+    lines = readme_cli_lines()
+    assert {command: lines.get(command) for command in README_OUTPUTS} == README_OUTPUTS
+
+
+@pytest.mark.parametrize("command", readme_cli_lines())
+def test_readme_cli_line_runs(command, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SCHUB_FORMAT", raising=False)
+    code, out, _ = run(capsys, *shlex.split(command)[1:])
+    assert code == 0
+    if command in README_OUTPUTS:
+        assert out == README_OUTPUTS[command] + "\n"

@@ -1,12 +1,12 @@
 import pytest
-
-from schubert.poly import Poly, poly_from_text
-from schubert.schur import (
+from oracles import (
     grassmannian_descent,
     grassmannian_shape,
     schur_oracle,
     semistandard_tableaux,
 )
+
+from schubert.poly import Poly, poly_from_text
 
 x1, x2 = Poly.variable(1), Poly.variable(2)
 
