@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .chains import chain_monomial, increasing_chains_to_w0, padded_type, type_counts
-from .perms import (Perm, _guard, _is_perm, _ranks, _within, bruhat_leq, compose,
-                    cover_partners, embed_all, longest, perm_from_code, perm_to_str)
+from .chains import (chain_monomial, increasing_chains_to_w0, padded_type, search_toward,
+                     type_counts)
+from .perms import (Perm, _below, _perm, bruhat_leq, compose, cover_partners, embed_all,
+                    longest, perm_from_code, perm_to_str)
 from .poly import (Poly, _reduce, check_composition, divides_staircase, field_width,
                    normal_form, pack, unpack)
 from .rcgraphs import enumerate_rcgraphs, monomial as rc_monomial
@@ -53,12 +54,11 @@ class SchubertExpansion:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "terms", {w: c for w, c in self.terms.items() if c != 0}
+            self, "terms", {_perm(tuple(w)): c for w, c in self.terms.items() if c != 0}
         )
         for w in self.terms:
             if len(w) != self.n:
                 raise ValueError(f"{w} does not lie in S_{self.n}")
-            _is_perm(w)
 
     @classmethod
     def _of(cls, n: int, terms: dict[Perm, int]) -> "SchubertExpansion":
@@ -222,7 +222,7 @@ def expand_in_schubert_basis(p: Poly, n: int) -> SchubertExpansion:
     """
     outside = {m: c for m, c in p.items() if not divides_staircase(m, n)}
     if outside:
-        m = Poly(outside).sorted_terms(n)[-1][0]
+        m = Poly(outside).sorted_terms()[-1][0]
         raise ValueError(f"monomial {m} does not divide the staircase; "
                          f"polynomial is not in the Schubert span of S_{n}")
     b = _width(n)
@@ -239,19 +239,13 @@ def lr_coefficients(
     The product vanishes in H*(Fl_n) exactly when u is not below w0 v in
     the Bruhat order (the Richardson variety is empty; this covers
     length(u) + length(v) > length(w0)), so that case returns the empty
-    expansion at once, by one int subtraction from :func:`_top_of_w0_times`
-    of v.  Otherwise one pass reduces and expands the product.
+    expansion at once, by the cached Bruhat test of w0 v (perms._below).
+    Otherwise one pass reduces and expands the product.
     """
     (u, v), n = embed_all([u, v], n)
-    if not _within(u, _top_of_w0_times(v), _guard(n)):
+    if not _below(_w0_times(v))(u):
         return SchubertExpansion._of(n, {})
     return _expand(_packed_product(u, v, n), n)
-
-
-@lru_cache(maxsize=4096)
-def _top_of_w0_times(v: Perm) -> int:
-    """The rank fields of w0 v, guards set: u <= w0 v iff _within(u, top, guard)."""
-    return _ranks(_w0_times(v)) | _guard(len(v))
 
 
 def pieri(u: Sequence[int], a: int, k: int, n: int | None = None) -> SchubertExpansion:
@@ -328,18 +322,17 @@ def skew_expansion(w: Perm, u: Perm, n: int) -> SchubertExpansion:
     return lr_coefficients(u, _w0_times(w), n)
 
 
-def corollary_sides(u: Perm, w: Perm, expansion: SchubertExpansion,
-                    counts=type_counts) -> tuple[Counter, Counter]:
+def corollary_sides(u: Perm, expansion: SchubertExpansion,
+                    to_w, to_w0) -> tuple[Counter, Counter]:
     """
     Both sides of I_alpha(u, w) == sum_v c^w_{u,v} * I_alpha(w0 v, w0) for
-    every alpha, with c from the skew expansion of w over u and counts(p, q)
-    mapping each type of an increasing chain from p to q to its count.
+    every alpha, with c from the skew expansion of w over u and to_w, to_w0
+    the types functions of search_toward(w) and search_toward(w0).
     """
-    w0 = longest(expansion.n)
     rhs: Counter = Counter()
     for z, c in expansion.terms.items():  # the expansion indices are z = w0 v
-        rhs.update({alpha: c * cnt for alpha, cnt in counts(z, w0).items()})
-    return counts(u, w), rhs
+        rhs.update({alpha: c * cnt for alpha, cnt in to_w0(z).items()})
+    return Counter(to_w(u)), rhs
 
 
 def verify_corollary(
@@ -347,6 +340,7 @@ def verify_corollary(
 ) -> bool:
     """Check the chain-counting identity for the type alpha."""
     (u, w), n = embed_all([u, w], n)
-    lhs, rhs = corollary_sides(u, w, skew_expansion(w, u, n))
+    lhs, rhs = corollary_sides(u, skew_expansion(w, u, n), search_toward(w)[0],
+                               search_toward(longest(n))[0])
     alpha = padded_type(alpha, n)
     return lhs[alpha] == rhs[alpha]

@@ -12,8 +12,8 @@ All questions about the chains that end at one w are answered by one
 search, search_toward(w), shared by every start u: a recursion over
 (node, last label) whose memo holds the types of the chains from the node
 to w with every label above the last.  It stays in [u, w]: each cover from
-a node's swap scan is tested against w once, by the rank test of
-bruhat_leq, and the labels are laid out row by row, sorted without a sort.
+a node's swap scan is tested against w once, by the Bruhat test
+perms._below(w), and the labels are laid out row by row, sorted without a sort.
 type_counts reads u's memo entry; increasing_chains walks the covers found.
 
 Chains ending at the longest permutation admit a much better search: the
@@ -33,8 +33,8 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
-from .perms import (Label, Perm, _guard, _json_int, _label_rows, _ranks, _within,
-                    bruhat_leq, cover_partners, labeled_covers, labeled_edges, longest,
+from .perms import (Label, Perm, _below, _json_int, _json_shape, _label_rows, _perm,
+                    _perm_pair, cover_partners, labeled_covers, labeled_edges, longest,
                     perm_from_str, perm_to_str)
 
 Composition = tuple[int, ...]
@@ -93,11 +93,10 @@ def chain_monomial(chain: LabeledChain) -> Composition:
 def _covers_toward(p: Perm, w: Perm) -> list[tuple[Label, Perm]]:
     """
     The labeled covers (lab, v) of p with v <= w, in the order of labeled_covers:
-    each cover of the swap scan is tested once, with the ranks of w read once.
+    each cover of the swap scan is tested once, by the test of perms._below(w).
     """
-    guard = _guard(len(w))
-    top = _ranks(w) | guard
-    return _label_rows(p, [[(j, v) for j, v in cover_partners(p, i) if _within(v, top, guard)]
+    below = _below(w)
+    return _label_rows(p, [[(j, v) for j, v in cover_partners(p, i) if below(v)]
                            for i in range(1, len(p))])
 
 
@@ -106,10 +105,10 @@ def search_toward(w: Perm):
     One memoized search for the increasing chains that end at w, shared by
     every start.  Returns (types, near): types(p, last=(0, 0)) maps each type
     of a chain from p to w with every label above last to its number of
-    chains; near maps each node entered to its covers toward w, one rank test
-    per cover, labels by row in the order of labeled_covers.  The memo is keyed
-    by (node, last label), so a node's types are counted once, not once per
-    chain through it.  The dicts types returns belong to the memo: copy one first.
+    chains; near maps each node entered to its covers toward w, one Bruhat
+    test per cover, labels by row in the order of labeled_covers.  The memo is
+    keyed by (node, last label), so a node's types are counted once, not once
+    per chain through it.  The dicts types returns belong to the memo: copy one first.
     """
     unit = {(0,) * (len(w) - 1): 1}  # the types of the empty chain at w
     memo: dict[tuple[Perm, Label], dict[Composition, int]] = {}
@@ -136,7 +135,7 @@ def search_toward(w: Perm):
         if (got := memo.get((p, last))) is None:
             if p == w:
                 return unit
-            got = memo[p, last] = suffixes(p, last) if bruhat_leq(p, w) else {}
+            got = memo[p, last] = suffixes(p, last) if _below(w)(p) else {}
         return got
 
     return types, near
@@ -158,6 +157,7 @@ def increasing_chains(u: Perm, w: Perm) -> Iterator[LabeledChain]:
     ((1, 1), (2, 1), (2, 2)) (1, 2, 0)
     ((1, 1), (2, 1), (3, 1)) (1, 1, 1)
     """
+    u, w = _perm_pair(u, w)
     types, near = search_toward(w)
     perms, labels = [u], []
 
@@ -183,6 +183,7 @@ def increasing_chains_to_w0(w: Perm) -> Iterator[LabeledChain]:
     covers swapping the minimal position k with u(k) + k < n + 1, ordered by
     the partner position l.
     """
+    w = _perm(tuple(w))
     n = len(w)
     w0 = longest(n)
 
@@ -217,6 +218,7 @@ def type_counts(u: Perm, w: Perm) -> Counter:
     Counter of chain types over all increasing chains from u to w, read
     from one search_toward(w).
     """
+    u, w = _perm_pair(u, w)
     types, _ = search_toward(w)
     return Counter(types(u))
 
@@ -249,8 +251,9 @@ def chain_from_json_obj(obj: dict, end: Perm | None = None) -> LabeledChain:
     pins the walk down; passing the known endpoint narrows the search
     further.  Raises ValueError when no walk fits or several still do.
     """
-    start = perm_from_str(obj["start"])
-    wanted = tuple((_json_int(k), _json_int(b)) for k, b in obj["steps"])
+    with _json_shape():
+        start = perm_from_str(obj["start"])
+        wanted = tuple((_json_int(k), _json_int(b)) for k, b in obj["steps"])
 
     walks: list[tuple[Perm, ...]] = []
 

@@ -93,7 +93,7 @@ def _print_poly(p: Poly, n: int, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(poly_to_json_obj(p, n)))
     else:
-        print(poly_to_text(p, n))
+        print(poly_to_text(p))
 
 
 def cmd_schubert(args: argparse.Namespace) -> int:

@@ -2,7 +2,7 @@
 Permutations of {1, ..., n} in one-line notation, their statistics, and the
 covers of the Bruhat order together with their edge labels.
 
-A permutation is a plain tuple ``w`` with ``w[i-1] == w(i)`` (values are
+A permutation is a tuple ``w`` of ints with ``w[i-1] == w(i)`` (values are
 1-indexed everywhere, matching the usual one-line notation such as 2413).
 The Bruhat order is generated by covers ``u -> u*(i,j)`` where swapping the
 entries in positions ``i < j`` raises the inversion count by exactly one.
@@ -13,20 +13,28 @@ Each cover carries ``j - i`` edge labels ``(k, b)`` with ``i <= k < j`` and
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import permutations as _itertools_permutations
-from typing import Iterator
+from typing import Callable, Iterator
 
 Perm = tuple[int, ...]
 Label = tuple[int, int]
 
 
 def as_perm(seq: Sequence[int]) -> Perm:
-    """Coerce to a tuple, checked to be a rearrangement of 1..n."""
+    """Coerce to a tuple of Python ints, checked to be a rearrangement of 1..n."""
     w = tuple(seq)
     if sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
-    return w
+    return tuple(map(int, w))
+
+
+@lru_cache(maxsize=8192)
+def _perm(w: tuple) -> Perm:
+    """:func:`as_perm`, cached (its ValueError is not): equal tuples such as (1, 2),
+    (1.0, 2.0) and (True, 2) share the entry and all get (1, 2) back."""
+    return as_perm(w)
 
 
 def _json_int(x) -> int:
@@ -34,6 +42,16 @@ def _json_int(x) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise ValueError(f"not an integer: {x!r}")
     return x
+
+
+@contextmanager
+def _json_shape():
+    """Around a JSON reader: a record with a missing key or a value of the wrong
+    shape raises ValueError, not the KeyError, TypeError or AttributeError it meets."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed JSON record: {type(exc).__name__}: {exc}") from None
 
 
 def identity(n: int) -> Perm:
@@ -201,22 +219,23 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
     """
     Compare in the Bruhat order by rank counts: u <= w iff
     r_u(k, i) <= r_w(k, i) for all k, i, with r_w(k, i) = #{a <= k : w(a) >= i}.
-    One int subtraction compares them all (see :func:`_ranks`).
+    One int subtraction compares them all (see :func:`_below`).
 
     >>> bruhat_leq((1, 3, 2, 4), (2, 4, 1, 3))
     True
     >>> bruhat_leq((4, 3, 2, 1), (1, 2, 3, 4))
     False
     """
+    u, w = _perm_pair(u, w)
+    return _below(w)(u)
+
+
+def _perm_pair(u: Sequence[int], w: Sequence[int]) -> tuple[Perm, Perm]:
+    """u and w in canonical form (:func:`_perm`), checked to lie in one S_n."""
+    u, w = _perm(tuple(u)), _perm(tuple(w))
     if len(u) != len(w):
         raise ValueError("size mismatch")
-    guard = _guard(len(w))
-    return _within(tuple(u), _ranks(tuple(w)) | guard, guard)
-
-
-def _within(u: Perm, top: int, guard: int) -> bool:
-    """u <= w for top = _ranks(w) | guard: subtracting the ranks of u clears no guard bit."""
-    return (top - _ranks(u)) & guard == guard
+    return u, w
 
 
 def _rank_width(n: int) -> int:
@@ -229,9 +248,7 @@ def _ranks(w: Perm) -> int:
     """
     The counts r_w(k, i) for 1 <= k < n and 2 <= i <= n (the others do not
     depend on w), one per field of :func:`_rank_width` bits with the top bit
-    clear.  With every guard bit set, subtracting the ranks of u borrows
-    from a field's guard exactly where r_u(k, i) > r_w(k, i), and never
-    into the next field.
+    clear.
     """
     n = len(w)
     b = _rank_width(n)
@@ -245,11 +262,17 @@ def _ranks(w: Perm) -> int:
     return r
 
 
-@lru_cache(maxsize=64)
-def _guard(n: int) -> int:
-    """The guard bits of the rank fields of S_n."""
-    b = _rank_width(n)
-    return sum(1 << (b * f + b - 1) for f in range((n - 1) ** 2))
+@lru_cache(maxsize=4096)
+def _below(w: Perm) -> Callable[[Perm], bool]:
+    """
+    The test u <= w on the S_n of w.  It keeps the ranks of w with every
+    field's guard bit set; subtracting the ranks of u borrows from a guard
+    exactly where r_u(k, i) > r_w(k, i), and never into the next field.
+    """
+    b = _rank_width(len(w))
+    guard = sum(1 << (b * f + b - 1) for f in range((len(w) - 1) ** 2))
+    top = _ranks(w) | guard
+    return lambda u: (top - _ranks(u)) & guard == guard
 
 
 def embed(w: Perm, m: int) -> Perm:
@@ -264,33 +287,23 @@ def embed(w: Perm, m: int) -> Perm:
     return w + tuple(range(len(w) + 1, m + 1))
 
 
-@lru_cache(maxsize=8192)
-def _is_perm(w: tuple) -> bool:
-    """True, or the ValueError of :func:`as_perm`, which is not cached.  Equal
-    tuples such as (1, 2) and (1.0, 2.0) share the entry: a verdict, not w."""
-    as_perm(w)
-    return True
-
-
 def embed_all(
     ws: Sequence[Sequence[int]], n: int | None = None
 ) -> tuple[list[Perm], int]:
     """
     Validate each permutation and embed all of them into S_n; n defaults
-    to the largest size among them.  Each comes back as tuple(w), embedded
-    only when shorter than n; the verdict on it is cached (:func:`_is_perm`).
+    to the largest size among them.  Each comes back in canonical form
+    (:func:`_perm`), embedded only when shorter than n.
 
     >>> embed_all([(1, 3, 2), (2, 1)])
     ([(1, 3, 2), (2, 1, 3)], 3)
-    >>> embed_all([(2, 1)], 4)
+    >>> embed_all([(2.0, 1.0)], 4)
     ([(2, 1, 3, 4)], 4)
     """
-    perms = [tuple(w) for w in ws]
-    for w in perms:
-        try:
-            _is_perm(w)
-        except TypeError:  # an unhashable or unordered entry: as_perm raises as before
-            as_perm(w)
+    try:
+        perms = [_perm(tuple(w)) for w in ws]
+    except TypeError:  # an unhashable or unordered entry: as_perm raises as before
+        perms = [as_perm(w) for w in ws]
     if n is None:
         n = max(len(w) for w in perms)
     return [w if len(w) == n else embed(w, n) for w in perms], n

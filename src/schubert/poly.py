@@ -27,7 +27,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator
 
-from .perms import _json_int
+from .perms import _json_int, _json_shape
 
 Exponents = tuple[int, ...]
 
@@ -117,9 +117,9 @@ class Poly:
     def items(self) -> Iterator[tuple[Exponents, int]]:
         return iter(self._terms.items())
 
-    def sorted_terms(self, nvars: int | None = None) -> list[tuple[Exponents, int]]:
+    def sorted_terms(self) -> list[tuple[Exponents, int]]:
         """Terms ascending in the pinned order."""
-        n = nvars if nvars is not None else self.nvars()
+        n = self.nvars()
         return sorted(self._terms.items(), key=lambda mc: monomial_key(mc[0], n))
 
     def coefficient(self, exps: Iterable[int]) -> int:
@@ -401,12 +401,12 @@ def normal_form(p: Poly, n: int) -> Poly:
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?((?:x\d+(?:\^\d+)?(?:\*x\d+(?:\^\d+)?)*))?$")
 
 
-def poly_to_text(p: Poly, nvars: int | None = None) -> str:
+def poly_to_text(p: Poly) -> str:
     """Render like "x1^2*x2 + x1*x2^2", terms ascending in the pinned order."""
     if p.is_zero():
         return "0"
     parts = []
-    for m, c in p.sorted_terms(nvars):
+    for m, c in p.sorted_terms():
         factors = [
             f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
             for i, e in enumerate(m)
@@ -451,6 +451,8 @@ def poly_from_text(s: str) -> Poly:
             for factor in m.group(2).split("*"):
                 var, _, pow_ = factor.partition("^")
                 i = int(var[1:])
+                if i < 1:
+                    raise ValueError(f"variables are 1-indexed: {term!r}")
                 exps[i] = exps.get(i, 0) + (int(pow_) if pow_ else 1)
         width = max(exps, default=0)
         terms[tuple(exps.get(i, 0) for i in range(1, width + 1))] += coef
@@ -458,17 +460,20 @@ def poly_from_text(s: str) -> Poly:
 
 
 def poly_to_json_obj(p: Poly, nvars: int | None = None) -> list[dict]:
-    """JSON form: [{"exp": [a1, ..., an], "coef": c}, ...], pinned order."""
+    """
+    JSON form: [{"exp": [a1, ..., an], "coef": c}, ...], pinned order, each
+    exp padded to nvars entries (default p.nvars(), and never fewer).
+    """
     n = nvars if nvars is not None else p.nvars()
-    return [
-        {"exp": list(m) + [0] * (n - len(m)), "coef": c}
-        for m, c in p.sorted_terms(n)
-    ]
+    if n < p.nvars():
+        raise ValueError(f"polynomial uses more than {n} variables")
+    return [{"exp": list(m) + [0] * (n - len(m)), "coef": c} for m, c in p.sorted_terms()]
 
 
 def poly_from_json_obj(obj: list[dict]) -> Poly:
     terms: Counter = Counter()
-    for entry in obj:
-        # trimmed per term: a negative exponent raises even where terms cancel
-        terms[trim(map(_json_int, entry["exp"]))] += _json_int(entry["coef"])
+    with _json_shape():
+        for entry in obj:
+            # trimmed per term: a negative exponent raises even where terms cancel
+            terms[trim(map(_json_int, entry["exp"]))] += _json_int(entry["coef"])
     return Poly(terms)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .chains import LabeledChain, cell_type, check_chain, increasing_chains_to_w0
-from .perms import Label, Perm, _json_int, length, longest
+from .perms import Label, Perm, _json_int, _json_shape, length, longest
 
 
 def staircase(n: int) -> frozenset[Label]:
@@ -145,8 +145,10 @@ def rcgraph_to_json_obj(graph: RcGraph) -> dict:
 
 
 def rcgraph_from_json_obj(obj: dict) -> RcGraph:
-    return RcGraph(_json_int(obj["n"]),
-                   {(_json_int(k), _json_int(b)) for k, b in obj["crossings"]})
+    with _json_shape():
+        n = _json_int(obj["n"])
+        crossings = {(_json_int(k), _json_int(b)) for k, b in obj["crossings"]}
+    return RcGraph(n, crossings)
 
 
 def render_ascii(graph: RcGraph) -> str:

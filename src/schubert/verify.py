@@ -135,8 +135,7 @@ def suite_corollary(rep: Report) -> None:
         to_w, _ = search_toward(w)
         for u in all_perms(n):
             if bruhat_leq(u, w):
-                lhs, rhs = corollary_sides(u, w, skew_expansion(w, u, n),
-                                           lambda p, q: (to_w if q == w else to_w0)(p))
+                lhs, rhs = corollary_sides(u, skew_expansion(w, u, n), to_w, to_w0)
                 rep.note(lhs == rhs, lambda: "type counts differ for "
                                              f"({perm_to_str(u)}, {perm_to_str(w)})")
 

@@ -26,8 +26,8 @@ from schubert.calc import (
 )
 from schubert.chains import type_counts
 from schubert.perms import (
-    _guard,
-    _is_perm,
+    _below,
+    _perm,
     _ranks,
     all_perms,
     bruhat_leq,
@@ -90,9 +90,8 @@ def test_caches_are_bounded_and_hit():
     assert calc._peel_steps.cache_info().maxsize == 4096
     assert calc._w0_times.cache_info().maxsize == 4096
     assert _ranks.cache_info().maxsize == 8192
-    assert _guard.cache_info().maxsize == 64
-    assert _is_perm.cache_info().maxsize == 8192
-    assert calc._top_of_w0_times.cache_info().maxsize == 4096
+    assert _below.cache_info().maxsize == 4096
+    assert _perm.cache_info().maxsize == 8192
     assert poly._reduction_basis.cache_info().maxsize == 16
     before = calc._schubert.cache_info().hits
     first = schubert((2, 4, 1, 3), 4)
@@ -103,10 +102,10 @@ def test_caches_are_bounded_and_hit():
     normal_form(first, 4)
     assert poly._reduction_basis.cache_info().hits == before + 1
     lr_coefficients((2, 1, 3), (1, 3, 2), 3)
-    before = _is_perm.cache_info().hits, calc._top_of_w0_times.cache_info().hits
+    before = _perm.cache_info().hits, _below.cache_info().hits
     lr_coefficients([2, 1, 3], [1, 3, 2], 3)
-    assert _is_perm.cache_info().hits == before[0] + 2
-    assert calc._top_of_w0_times.cache_info().hits == before[1] + 1
+    assert _perm.cache_info().hits == before[0] + 2
+    assert _below.cache_info().hits == before[1] + 1
 
 
 # --- skew polynomials -------------------------------------------------------

@@ -1,0 +1,100 @@
+"""
+Every public entry that takes a permutation reads it through perms._perm:
+a list, floats or bools give the same result as the tuple of ints, with
+Python ints in every tuple it returns and in its JSON, and a sequence that
+is not a permutation raises ValueError.
+"""
+
+import json
+
+import pytest
+
+from schubert import (
+    LabeledChain,
+    Poly,
+    SchubertExpansion,
+    bruhat_leq,
+    chain_to_json_obj,
+    increasing_chains,
+    increasing_chains_to_w0,
+    lr_coefficients,
+    pieri,
+    poly_to_json_obj,
+    schubert,
+    skew,
+    skew_expansion,
+    verify_corollary,
+)
+from schubert.chains import type_counts
+from schubert.perms import embed_all
+
+U, W = (1, 3, 2), (3, 2, 1)  # U <= W
+
+# each entry called on a pair u <= w of S_3 (dict keys must be hashable, so tuple(u))
+ENTRIES = {
+    "embed_all": lambda u, w: embed_all([u, w]),
+    "schubert": lambda u, w: schubert(u),
+    "skew": lambda u, w: skew(w, u),
+    "lr_coefficients": lambda u, w: lr_coefficients(u, u),
+    "pieri": lambda u, w: pieri(u, 1, 1),
+    "skew_expansion": lambda u, w: skew_expansion(w, u, 3),
+    "verify_corollary": lambda u, w: verify_corollary(u, w, (1, 0)),
+    "SchubertExpansion": lambda u, w: SchubertExpansion(3, {tuple(u): 2, tuple(w): 1}),
+    "bruhat_leq": lambda u, w: bruhat_leq(u, w),
+    "increasing_chains": lambda u, w: list(increasing_chains(u, w)),
+    "increasing_chains_to_w0": lambda u, w: list(increasing_chains_to_w0(u)),
+    "type_counts": lambda u, w: type_counts(u, w),
+}
+
+FORMS = {
+    "float": lambda p: tuple(map(float, p)),
+    "bool": lambda p: tuple(True if a == 1 else a for a in p),
+    "list": list,
+}
+
+
+def tuples_in(x):
+    """Every tuple inside a result, nested ones included."""
+    if isinstance(x, LabeledChain):
+        x = (x.perms, x.labels)
+    elif isinstance(x, SchubertExpansion):
+        x = x.terms
+    if isinstance(x, tuple):
+        yield x
+    if isinstance(x, dict):
+        x = list(x.items())
+    if isinstance(x, (tuple, list)):
+        for y in x:
+            yield from tuples_in(y)
+
+
+def json_of(x):
+    if isinstance(x, SchubertExpansion):
+        return x.to_json_obj()
+    if isinstance(x, Poly):
+        return poly_to_json_obj(x)
+    if isinstance(x, list) and all(isinstance(c, LabeledChain) for c in x):
+        return [chain_to_json_obj(c) for c in x]
+    return None
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_entries_return_canonical_int_tuples(entry, form):
+    call, convert = ENTRIES[entry], FORMS[form]
+    got = call(convert(U), convert(W))
+    expected = call(U, W)
+    assert got == expected
+    assert all(type(a) is int for t in tuples_in(got) for a in t
+               if not isinstance(a, (tuple, list)))
+    assert json.dumps(json_of(got)) == json.dumps(json_of(expected))
+    for bad in ((2, 2), (1, 1)):
+        for w in (W, (2, 1)):
+            with pytest.raises(ValueError):
+                call(bad, w)
+
+
+def test_json_of_float_input_has_int_permutations():
+    assert pieri((1.0, 2.0, 3.0), 1, 1).to_json_obj() == {"213": 1}
+    first = next(increasing_chains_to_w0((1.0, 3.0, 2.0)))
+    assert chain_to_json_obj(first) == {"start": "132", "steps": [[1, 1], [2, 1]]}

@@ -170,6 +170,23 @@ def test_json_readers_reject_non_integers(read, bad, good):
         read(bad)
 
 
+@pytest.mark.parametrize("read, bad", [
+    (poly_from_json_obj, [{"exp": [1]}]),  # missing key
+    (poly_from_json_obj, {"exp": [1], "coef": 1}),  # a record, not a list of them
+    (poly_from_json_obj, [{"exp": 1, "coef": 1}]),  # exp not a list
+    (poly_from_json_obj, 5),
+    (rcgraph_from_json_obj, {"n": 3}),
+    (rcgraph_from_json_obj, [3, []]),
+    (rcgraph_from_json_obj, {"n": 3, "crossings": [1]}),  # a cell not a pair
+    (chain_from_json_obj, {"steps": []}),
+    (chain_from_json_obj, {"start": 213, "steps": []}),  # start not a string
+    (chain_from_json_obj, {"start": "213", "steps": [2]}),
+])
+def test_json_readers_reject_malformed_records(read, bad):
+    with pytest.raises(ValueError, match="malformed JSON record"):
+        read(bad)
+
+
 def rcgraph_to_json_roundtrip(graph):
     from schubert.rcgraphs import rcgraph_to_json_obj
     return rcgraph_to_json_obj(graph)

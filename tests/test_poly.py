@@ -214,6 +214,13 @@ def test_text_round_trip():
     q = -3 * x1 + x2 ** 4 - 1
     assert poly_from_text(poly_to_text(q)) == q
     assert poly_to_text(Poly.constant(7)) == "7"
+    assert poly_to_text(x1 ** 2 + x2) == "x1^2 + x2"  # ordered from x2 down
+
+
+def test_text_rejects_x0():
+    for text in ("x0", "x0^3", "3*x0", "x1 + x0*x2"):
+        with pytest.raises(ValueError, match="1-indexed"):
+            poly_from_text(text)
 
 
 @given(small_polys)
@@ -242,3 +249,7 @@ def test_parsers_merge_duplicate_cancelling_and_untrimmed_terms():
 def test_json_shape():
     obj = poly_to_json_obj(x1 + x2, 3)
     assert obj == [{"exp": [1, 0, 0], "coef": 1}, {"exp": [0, 1, 0], "coef": 1}]
+    assert poly_to_json_obj(x1 ** 2 + x2) == [{"exp": [2, 0], "coef": 1},
+                                              {"exp": [0, 1], "coef": 1}]
+    with pytest.raises(ValueError, match="more than 1 variables"):
+        poly_to_json_obj(x1 ** 2 + x2, 1)
