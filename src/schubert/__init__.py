@@ -4,6 +4,8 @@ and labeled-chain enumeration, normal forms in the coinvariant quotient,
 and Littlewood-Richardson structure constants by mutually checking routes.
 """
 
+from types import ModuleType as _ModuleType
+
 from .calc import (
     SchubertExpansion,
     expand_in_schubert_basis,
@@ -69,57 +71,6 @@ from .rcgraphs import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LabeledChain",
-    "Perm",
-    "Poly",
-    "RcGraph",
-    "SchubertExpansion",
-    "bruhat_covers",
-    "bruhat_leq",
-    "chain_from_json_obj",
-    "chain_monomial",
-    "chain_of_rcgraph",
-    "chain_to_json_obj",
-    "code",
-    "complete_h",
-    "compose",
-    "count_by_type",
-    "elementary",
-    "embed",
-    "enumerate_rcgraphs",
-    "expand_in_schubert_basis",
-    "h_alpha",
-    "identity",
-    "increasing_chains",
-    "increasing_chains_to_w0",
-    "inverse",
-    "is_valid",
-    "labeled_edges",
-    "length",
-    "longest",
-    "lr_coefficients",
-    "monomial_key",
-    "normal_form",
-    "perm_from_code",
-    "perm_from_str",
-    "perm_of",
-    "perm_to_str",
-    "pieri",
-    "poly_from_json_obj",
-    "poly_from_text",
-    "poly_to_json_obj",
-    "poly_to_text",
-    "psi_alpha",
-    "rcgraph_from_json_obj",
-    "rcgraph_of_chain",
-    "rcgraph_to_json_obj",
-    "render_ascii",
-    "schubert",
-    "skew",
-    "skew_expansion",
-    "staircase",
-    "staircase_exponent",
-    "verify_corollary",
-    "word",
-]
+# the public names are the ones imported above; the submodules they load are not
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -11,7 +11,13 @@ The three skew routes:
   product (:func:`lr_coefficients`); the expansion indices z correspond
   to structure constants c^w_{u, w0 z}.
 
-All agree exactly; the test suite exercises that on full symmetric groups.
+The LR coefficients and the Schubert expansion take no normal form.  They
+multiply by Monk's rule (:func:`perms.monk`, the a = 1 case of the Pieri
+rule): x_i * S_w is a signed sum over Bruhat covers, so S_u * S_v is found
+by applying x_1, x_2, ... to S_u along the monomials of S_v, each shared
+prefix once (:func:`_walk`).  The ``lr`` and ``normalform`` routes thus
+share no code, and all three agree exactly; the test suite exercises that
+on full symmetric groups.
 """
 
 from __future__ import annotations
@@ -25,9 +31,8 @@ from typing import Iterator
 from .chains import (chain_monomial, increasing_chains_to_w0, padded_type, search_toward,
                      type_counts)
 from .perms import (Perm, _below, _perm, bruhat_leq, compose, cover_partners, embed_all,
-                    longest, perm_from_code, perm_to_str)
-from .poly import (Poly, _reduce, check_composition, divides_staircase, field_width,
-                   normal_form, pack, unpack)
+                    identity, longest, monk, perm_to_str)
+from .poly import Poly, check_composition, divides_staircase, normal_form, trim
 from .rcgraphs import enumerate_rcgraphs, monomial as rc_monomial
 
 __all__ = [
@@ -153,80 +158,82 @@ def _check_below(u: Perm, w: Perm) -> None:
         )
 
 
-def _width(n: int) -> int:
+@lru_cache(maxsize=8192)
+def _monk_step(w: Perm, i: int) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
+    """The terms of x_i * S_w (perms.monk), split by sign."""
+    pairs = monk(w, i)
+    return tuple(v for v, s in pairs if s > 0), tuple(v for v, s in pairs if s < 0)
+
+
+def _trie_of(terms: Iterator[tuple[tuple[int, ...], int]]) -> tuple:
     """
-    The field width of packed expansions in S_n: what they expand and each
-    S_w they peel off have total degree at most length(w0) = n(n - 1) / 2.
+    The trie of a polynomial's trimmed exponent vectors, x_1's exponent first,
+    flattened in preorder: one entry (k, steps, c) per term c * x^m, in
+    lexicographic order of m.  For b the exponents of the monomial before m
+    up to the first one that differs (x^b divides x^m), the walk holds its
+    start times x^b as state k, the length of b trimmed, and the Monk steps
+    by x_i, i in steps, take it to x^m.  Below, x1^2 continues from x1:
+
+    >>> _trie_of({(): 1, (2,): 5, (1, 1): 3}.items())
+    ((0, (), 1), (0, (1, 2), 3), (1, (1,), 5))
     """
-    return field_width(n * (n - 1) // 2)
+    prev: tuple[int, ...] = ()
+    out = []
+    for m, c in sorted(terms):
+        d = next((j for j, (a, p) in enumerate(zip(m, prev)) if a != p), len(prev))
+        b = prev[:d + 1]
+        steps = (j + 1 for j, e in enumerate(m) for _ in range(e - (b[j] if j < len(b) else 0)))
+        out.append((len(trim(b)), tuple(steps), c))
+        prev = m
+    return tuple(out)
 
 
 @lru_cache(maxsize=4096)
-def _packed_schubert(w: Perm, n: int) -> tuple[tuple[int, int], ...]:
-    """The (monomial, coefficient) pairs of S_w, packed with the width of S_n."""
-    b = _width(n)
-    return tuple((pack(m, b), c) for m, c in schubert(w, n).items())
+def _trie(w: Perm) -> tuple:
+    """The trie (:func:`_trie_of`) of the monomials of S_w."""
+    return _trie_of(schubert(w).items())
 
 
-def _packed_product(u: Perm, v: Perm, n: int) -> dict[int, int]:
-    """S_u * S_v, packed: the product of two monomials is one int addition."""
-    out: dict[int, int] = {}
-    terms_v = _packed_schubert(v, n)
-    for m1, c1 in _packed_schubert(u, n):
-        for m2, c2 in terms_v:
-            m = m1 + m2
-            out[m] = out.get(m, 0) + c1 * c2
-    return out
-
-
-def _expand(work: dict[int, int], n: int) -> SchubertExpansion:
+def _walk(trie: tuple, start: Perm, n: int) -> SchubertExpansion:
     """
-    The Schubert expansion modulo <e_1, ..., e_n> of a polynomial packed
-    with the width of S_n, in one run of the loop of :func:`normal_form`.
-    S_w leads with x^code(w), coefficient 1, so each term c * x^m the loop
-    cannot reduce, largest first, gives c_w = c for the w with code m, and
-    the rest of c * S_w is subtracted (:func:`_peel_steps`).  A w met twice
-    means a lead coefficient other than 1 left x^m behind.
+    p * S_start in H*(Fl_n), in the Schubert basis of S_n, for the p with
+    this trie: Monk steps walk down the trie, so a prefix x_1^{a_1} ...
+    x_i^{a_i} shared by several monomials of p is applied once, and each
+    leaf c * x^m adds c times its state.  Cancelled terms stay as zeros
+    until the end.
     """
+    states: list[dict[Perm, int]] = [{start: 1}] * n
     out: dict[Perm, int] = {}
-
-    def peel(m: int, c: int) -> tuple[tuple[int, int], ...]:
-        w, steps = _peel_steps(m, n)
-        if w in out:
-            raise RuntimeError("extraction failed to terminate")
-        out[w] = c
-        return steps
-
-    _reduce(work, n, _width(n), peel)
-    return SchubertExpansion._of(n, out)
-
-
-@lru_cache(maxsize=4096)
-def _peel_steps(m: int, n: int) -> tuple[Perm, tuple[tuple[int, int], ...]]:
-    """
-    The w with code m, packed with the width of S_n, and the steps of
-    :func:`_reduce` that subtract S_w minus its lead term x^m.
-    """
-    w = perm_from_code(unpack(m, _width(n)), n)
-    rest = dict(_packed_schubert(w, n))
-    rest[m] = rest.get(m, 0) - 1  # the loop already took c * x^m off
-    return w, tuple((t - m, -k) for t, k in rest.items() if k)
+    for k, steps, c in trie:
+        s = states[k]
+        for i in steps:
+            t: dict[Perm, int] = {}
+            for w, a in s.items():
+                if a:
+                    up, down = _monk_step(w, i)
+                    for v in up:
+                        t[v] = t.get(v, 0) + a
+                    for v in down:
+                        t[v] = t.get(v, 0) - a
+            s = states[i] = t
+        for w, a in s.items():
+            out[w] = out.get(w, 0) + c * a
+    return SchubertExpansion._of(n, {w: c for w, c in out.items() if c})
 
 
 def expand_in_schubert_basis(p: Poly, n: int) -> SchubertExpansion:
     """
-    Write p as an integer combination of Schubert polynomials of S_n, by
-    :func:`_expand` on p packed with the width of S_n.  Raises ValueError,
-    naming the largest one, when a monomial of p does not divide x^delta:
-    p is then not in the span.
+    Write p as an integer combination of Schubert polynomials of S_n: the
+    Monk walk (:func:`_walk`) over p's trie from S_id = 1.  Raises
+    ValueError, naming the largest one, when a monomial of p does not divide
+    x^delta: p is then not in the span.
     """
     outside = {m: c for m, c in p.items() if not divides_staircase(m, n)}
     if outside:
         m = Poly(outside).sorted_terms()[-1][0]
         raise ValueError(f"monomial {m} does not divide the staircase; "
                          f"polynomial is not in the Schubert span of S_{n}")
-    b = _width(n)
-    return _expand({pack(m, b): c for m, c in p.items()}, n)
+    return _walk(_trie_of(p.items()), identity(n), n)
 
 
 def lr_coefficients(
@@ -240,12 +247,14 @@ def lr_coefficients(
     the Bruhat order (the Richardson variety is empty; this covers
     length(u) + length(v) > length(w0)), so that case returns the empty
     expansion at once, by the cached Bruhat test of w0 v (perms._below).
-    Otherwise one pass reduces and expands the product.
+    Otherwise the Monk walk (:func:`_walk`) multiplies one factor into the
+    other, walking the cached trie of the one with fewer terms.
     """
     (u, v), n = embed_all([u, v], n)
     if not _below(_w0_times(v))(u):
         return SchubertExpansion._of(n, {})
-    return _expand(_packed_product(u, v, n), n)
+    tu, tv = _trie(u), _trie(v)
+    return _walk(tv, u, n) if len(tv) <= len(tu) else _walk(tu, v, n)
 
 
 def pieri(u: Sequence[int], a: int, k: int, n: int | None = None) -> SchubertExpansion:

@@ -24,8 +24,8 @@ Label = tuple[int, int]
 
 def as_perm(seq: Sequence[int]) -> Perm:
     """Coerce to a tuple of Python ints, checked to be a rearrangement of 1..n."""
-    w = tuple(seq)
-    if sorted(w) != list(range(1, len(w) + 1)):
+    w = tuple(seq)  # "in" tests by ==, so entries such as 1 and "a" need no order
+    if not all(v in range(1, len(w) + 1) for v in w) or len(set(w)) != len(w):
         raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
     return tuple(map(int, w))
 
@@ -162,6 +162,29 @@ def cover_partners(u: Perm, i: int) -> list[tuple[int, Perm]]:
             w = list(u)
             w[i - 1], w[j] = b, a
             out.append((j + 1, tuple(w)))
+    return out
+
+
+def monk(w: Perm, i: int) -> list[tuple[Perm, int]]:
+    """
+    Monk's rule in H*(Fl_n) as (v, +1) and (v, -1) pairs: x_i * S_w is the
+    sum of S_{w*(i,j)} over the covers with j > i (:func:`cover_partners`)
+    minus that over the covers w -> w*(j,i), j < i, found by the mirror scan.
+    The cover swapping i and n + 1 leaves S_n: its S_v lies in <e_1..e_n>.
+
+    >>> monk((1, 2, 3), 2)  # x_2 = S_132 - S_213
+    [((1, 3, 2), 1), ((2, 1, 3), -1)]
+    """
+    out = [(v, 1) for _, v in cover_partners(w, i)]
+    a = w[i - 1]
+    bound = 0
+    for j in range(i - 2, -1, -1):
+        b = w[j]
+        if bound < b < a:
+            bound = b
+            v = list(w)
+            v[j], v[i - 1] = a, b
+            out.append((tuple(v), -1))
     return out
 
 
@@ -302,7 +325,7 @@ def embed_all(
     """
     try:
         perms = [_perm(tuple(w)) for w in ws]
-    except TypeError:  # an unhashable or unordered entry: as_perm raises as before
+    except TypeError:  # an unhashable entry: as_perm raises, uncached
         perms = [as_perm(w) for w in ws]
     if n is None:
         n = max(len(w) for w in perms)

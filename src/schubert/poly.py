@@ -12,16 +12,16 @@ occur, let alone wrap silently.
 One monomial order is shared by every consumer: compare exponents from the
 highest-indexed variable downward.  The reduction loop works on packed
 monomials (:func:`pack`): one int per exponent vector, x_1 in the lowest
-field, so a monomial product or a rewrite step is one int addition and the
-order is int comparison.  :func:`monomial_key` gives the same order on
-exponent tuples and orders the terms of serialized output.
+field, so a rewrite step is one int addition and the order is int
+comparison.  :func:`monomial_key` gives the same order on exponent tuples
+and orders the terms of serialized output.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
@@ -336,26 +336,25 @@ def _reduction_basis(n: int, b: int) -> tuple[tuple[int, int, tuple[tuple[int, i
     return tuple(rules)  # cached and shared, so immutable
 
 
-def _reduce(work: dict[int, int], n: int, b: int,
-            keep: Callable[[int, int], Iterable[tuple[int, int]] | None]) -> None:
+def _reduce(work: dict[int, int], n: int, b: int) -> dict[int, int]:
     """
     The reduction loop modulo <e_1, ..., e_n>, on a dict of monomials packed
-    with b-bit fields, which it empties.  Every total degree must be below
-    2^b; a step keeps the degree of the term it rewrites, so no field
-    overflows and int order stays the pinned order.
+    with b-bit fields, which it empties; it returns the standard terms, those
+    whose monomial divides x^delta.  Every total degree must be below 2^b; a
+    step keeps the degree of the term it rewrites, so no field overflows and
+    int order stays the pinned order.
 
-    A step replaces c * x^m by the sum of c * k * x^(m + t) over its pairs
-    (t, k), all smaller than m, so each monomial is taken once, largest
-    first, from a max-heap of negated ints; one whose terms cancelled is
-    skipped when popped.  The rules of :func:`_reduction_basis` give the
-    steps of the terms they reduce.  A term c * x^m no rule reduces (m
-    divides x^delta) leaves the work set, and keep(m, c) returns its steps,
-    or None for none.  Steps update the work set in place.
+    The rules of :func:`_reduction_basis` rewrite c * x^m as the sum of
+    c * k * x^(m + t) over the steps (t, k) of the first rule that applies,
+    all smaller than m, so each monomial is taken once, largest first, from
+    a max-heap of negated ints; one whose terms cancelled is skipped when
+    popped, and one no rule applies to is kept.
     """
     rules = _reduction_basis(n, b)
     mask = (1 << b) - 1
     heap = [-m for m in work]
     heapify(heap)
+    done: dict[int, int] = {}
     while heap:
         m = -heappop(heap)
         c = work.pop(m, 0)
@@ -365,7 +364,8 @@ def _reduce(work: dict[int, int], n: int, b: int,
             if (m >> shift) & mask >= d:
                 break
         else:
-            steps = keep(m, c) or ()
+            done[m] = c
+            continue
         for t, k in steps:
             r = m + t
             a = c * k
@@ -377,13 +377,15 @@ def _reduce(work: dict[int, int], n: int, b: int,
                 del work[r]
             else:
                 work[r] = old + a
+    return done
 
 
 def normal_form(p: Poly, n: int) -> Poly:
     """
     The unique representative of p modulo <e_1, ..., e_n> on the monomials
-    dividing x^delta: the terms :func:`_reduce` keeps, with fields as wide
-    as the largest total degree of p needs.  Linear, idempotent.
+    dividing x^delta, by :func:`_reduce` with fields as wide as the largest
+    total degree of p needs.  Linear, idempotent.  It shares no code with
+    the Monk walk of calc.lr_coefficients, so each checks the other.
 
     >>> normal_form(Poly.variable(2) ** 2 + Poly.variable(1), 2)
     Poly(x1)
@@ -391,8 +393,7 @@ def normal_form(p: Poly, n: int) -> Poly:
     if p.nvars() > n:
         raise ValueError(f"polynomial uses more than {n} variables")
     b = field_width(max((sum(m) for m, _ in p.items()), default=0))
-    done: dict[int, int] = {}
-    _reduce({pack(m, b): c for m, c in p.items()}, n, b, done.__setitem__)
+    done = _reduce({pack(m, b): c for m, c in p.items()}, n, b)
     return Poly._of({unpack(m, b): c for m, c in done.items()})
 
 

@@ -37,6 +37,7 @@ from schubert.perms import (
     identity,
     length,
     longest,
+    monk,
 )
 from schubert.poly import (
     Poly,
@@ -86,8 +87,8 @@ def test_unknown_method_rejected():
 
 def test_caches_are_bounded_and_hit():
     assert calc._schubert.cache_info().maxsize == 4096
-    assert calc._packed_schubert.cache_info().maxsize == 4096
-    assert calc._peel_steps.cache_info().maxsize == 4096
+    assert calc._trie.cache_info().maxsize == 4096
+    assert calc._monk_step.cache_info().maxsize == 8192
     assert calc._w0_times.cache_info().maxsize == 4096
     assert _ranks.cache_info().maxsize == 8192
     assert _below.cache_info().maxsize == 4096
@@ -102,10 +103,11 @@ def test_caches_are_bounded_and_hit():
     normal_form(first, 4)
     assert poly._reduction_basis.cache_info().hits == before + 1
     lr_coefficients((2, 1, 3), (1, 3, 2), 3)
-    before = _perm.cache_info().hits, _below.cache_info().hits
+    caches = (_perm, _below, calc._trie, calc._monk_step)
+    before = [f.cache_info().hits for f in caches]
     lr_coefficients([2, 1, 3], [1, 3, 2], 3)
-    assert _perm.cache_info().hits == before[0] + 2
-    assert _below.cache_info().hits == before[1] + 1
+    # S_213 = x1 has fewer terms than S_132: one Monk step, x1 * S_132
+    assert [f.cache_info().hits - h for f, h in zip(caches, before)] == [2, 1, 2, 1]
 
 
 # --- skew polynomials -------------------------------------------------------
@@ -205,15 +207,29 @@ def test_expansion_rejects_outside_span():
         expand_in_schubert_basis(Poly.variable(4), 4)
 
 
-def test_expansion_rejects_a_basis_that_does_not_lead_with_one(monkeypatch):
-    # peeling 2 * S_231 off x1*x2 leaves -x1*x2, so 231 would be peeled twice
-    real = calc._packed_schubert
-    monkeypatch.setattr(calc, "_packed_schubert",
-                        lambda w, n: tuple((m, 2 * c) for m, c in real(w, n)))
-    # the uncached peel reads the patched basis; the cached one may hold the real one
-    monkeypatch.setattr(calc, "_peel_steps", calc._peel_steps.__wrapped__)
-    with pytest.raises(RuntimeError, match="failed to terminate"):
-        expand_in_schubert_basis(x1 ** 2 + x1 * x2, 3)
+def _monk_sum(w, i, n):
+    return sum((schubert(v, n) * s for v, s in monk(w, i)), Poly.zero())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_monk_step_matches_the_normal_form_of_x_i_times_s_w(n):
+    # both sides reduced by the quadratic oracle, which shares no code with Monk
+    for w in all_perms(n):
+        for i in range(1, n + 1):
+            lhs = max_ordered_normal_form(dict((Poly.variable(i) * schubert(w, n)).items()), n)
+            rhs = max_ordered_normal_form(dict(_monk_sum(w, i, n).items()), n)
+            assert lhs == rhs, (w, i)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_monk_step_is_a_difference_of_chain_pieri_rules(n):
+    # x_i = h_1(x_1..x_i) - h_1(x_1..x_{i-1}), and h_1(x_1..x_n) = e_1 = 0
+    for w in all_perms(n):
+        for i in range(1, n + 1):
+            plus = pieri(w, 1, i, n).terms if i < n else {}
+            minus = pieri(w, 1, i - 1, n).terms if i > 1 else {}
+            step = {v: plus.get(v, 0) - minus.get(v, 0) for v in {*plus, *minus}}
+            assert dict(monk(w, i)) == {v: c for v, c in step.items() if c}, (w, i)
 
 
 def test_expansion_reconstructs_input():
@@ -306,15 +322,15 @@ def test_lr_vanishing_test_matches_full_route(n, unordered, zeros, pairs):
         shortcut = not bruhat_leq(u, compose(w0, v))
         full = normal_form(schubert(u, n) * schubert(v, n), n)
         assert shortcut == full.is_zero(), (u, v)
-        one_pass = lr_coefficients(u, v, n)
-        assert shortcut == (len(one_pass) == 0), (u, v)
-        assert one_pass == expand_in_schubert_basis(full, n), (u, v)
+        walked = lr_coefficients(u, v, n)
+        assert shortcut == (len(walked) == 0), (u, v)
+        assert walked == expand_in_schubert_basis(full, n), (u, v)
         seen += shortcut
     assert seen == zeros
 
 
 def test_lr_reassembles_the_max_ordered_normal_form_on_s5():
-    # the packed product and reduction against the tuple loop of the oracle
+    # the Monk walk against the tuple loop of the oracle, which takes a normal form
     rng = random.Random(5)
     perms = list(all_perms(5))
     nonzero = 0

@@ -2,6 +2,7 @@ import doctest
 
 import pytest
 
+import schubert.calc
 import schubert.chains
 import schubert.perms
 import schubert.poly
@@ -13,6 +14,7 @@ import schubert.rcgraphs
     schubert.perms,
     schubert.rcgraphs,
     schubert.poly,
+    schubert.calc,
 ])
 def test_module_doctests(module):
     result = doctest.testmod(module)

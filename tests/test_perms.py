@@ -222,8 +222,10 @@ def test_embed_all_raises_on_every_call():
         embed_all([(2, 1, 3)], 2)
     with pytest.raises(ValueError, match="not a permutation"):
         embed_all([([1],)])  # an unhashable entry is checked uncached
-    with pytest.raises(TypeError):
-        embed_all([([1], 2)])
+    with pytest.raises(ValueError, match="not a permutation"):
+        embed_all([([1], 2)])  # unhashable and unordered
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.2: \(1, 'a'\)"):
+        as_perm((1, "a"))
 
 
 def test_embed_all_takes_lists():
