@@ -22,7 +22,6 @@ from .chains import (
     chain_from_json_obj,
     chain_monomial,
     chain_to_json_obj,
-    count_by_type,
     increasing_chains,
     increasing_chains_to_w0,
 )

@@ -30,8 +30,8 @@ from typing import Iterator
 
 from .chains import (chain_monomial, increasing_chains_to_w0, padded_type, search_toward,
                      type_counts)
-from .perms import (Perm, _below, _perm, bruhat_leq, compose, cover_partners, embed_all,
-                    identity, longest, monk, perm_to_str)
+from .perms import (Perm, _as_int, _below, _perm, bruhat_leq, compose, cover_partners,
+                    embed_all, identity, longest, monk, perm_to_str)
 from .poly import Poly, check_composition, divides_staircase, normal_form, trim
 from .rcgraphs import enumerate_rcgraphs, monomial as rc_monomial
 
@@ -265,6 +265,7 @@ def pieri(u: Sequence[int], a: int, k: int, n: int | None = None) -> SchubertExp
     (k, p(i)), when i <= k < j.
     """
     (u,), n = embed_all([u], n)
+    a, k = _as_int(a), _as_int(k)
     if a < 0:
         raise ValueError("degree must be nonnegative")
     if not 1 <= k < n:

@@ -208,11 +208,6 @@ def increasing_chains_to_w0(w: Perm) -> Iterator[LabeledChain]:
         yield from walk(w, [w], [])
 
 
-def count_by_type(u: Perm, w: Perm, alpha: Sequence[int]) -> int:
-    """The number of increasing chains from u to w of the given type."""
-    return type_counts(u, w)[padded_type(alpha, len(u))]
-
-
 def type_counts(u: Perm, w: Perm) -> Counter:
     """
     Counter of chain types over all increasing chains from u to w, read

@@ -13,7 +13,7 @@ Each cover carries ``j - i`` edge labels ``(k, b)`` with ``i <= k < j`` and
 from __future__ import annotations
 
 from collections.abc import Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import lru_cache
 from itertools import permutations as _itertools_permutations
 from typing import Callable, Iterator
@@ -35,6 +35,14 @@ def _perm(w: tuple) -> Perm:
     """:func:`as_perm`, cached (its ValueError is not): equal tuples such as (1, 2),
     (1.0, 2.0) and (True, 2) share the entry and all get (1, 2) back."""
     return as_perm(w)
+
+
+def _as_int(x) -> int:
+    """x read like an entry of as_perm: a value equal to an int (1.0, True) is that int."""
+    with suppress(TypeError, ValueError, OverflowError):
+        if int(x) == x:
+            return int(x)
+    raise ValueError(f"not an integer: {x!r}")
 
 
 def _json_int(x) -> int:

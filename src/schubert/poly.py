@@ -10,11 +10,9 @@ Coefficients are Python ints, hence arbitrary precision: overflow cannot
 occur, let alone wrap silently.
 
 One monomial order is shared by every consumer: compare exponents from the
-highest-indexed variable downward.  The reduction loop works on packed
-monomials (:func:`pack`): one int per exponent vector, x_1 in the lowest
-field, so a rewrite step is one int addition and the order is int
-comparison.  :func:`monomial_key` gives the same order on exponent tuples
-and orders the terms of serialized output.
+highest-indexed variable downward (:func:`monomial_key`); it orders the
+terms of serialized output.  :func:`normal_form` eliminates x_n, ..., x_1
+in turn on exponent tuples padded to n variables.
 """
 
 from __future__ import annotations
@@ -23,11 +21,11 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
+from operator import add
 from typing import Iterator
 
-from .perms import _json_int, _json_shape
+from .perms import _as_int, _json_int, _json_shape
 
 Exponents = tuple[int, ...]
 
@@ -249,8 +247,8 @@ def complete_h(a: int, k: int) -> Poly:
 
 def check_composition(alpha: Iterable[int], n: int) -> tuple[int, ...]:
     """
-    Return alpha as a tuple after checking that it has n - 1 parts with
-    0 <= alpha_i <= n - i.
+    Return alpha as a tuple of ints, parts read like as_perm entries, after
+    checking that it has n - 1 parts with 0 <= alpha_i <= n - i.
 
     >>> check_composition([2, 0, 1], 4)
     (2, 0, 1)
@@ -259,7 +257,7 @@ def check_composition(alpha: Iterable[int], n: int) -> tuple[int, ...]:
     ...
     ValueError: part alpha_1=3 outside 0..2
     """
-    alpha = tuple(alpha)
+    alpha = tuple(map(_as_int, alpha))
     if len(alpha) != n - 1:
         raise ValueError(f"composition needs {n - 1} parts, got {len(alpha)}")
     for i, a in enumerate(alpha):
@@ -282,119 +280,61 @@ def h_alpha(alpha: Iterable[int], n: int) -> Poly:
     return out
 
 
-def field_width(degree: int) -> int:
-    """The bits per field that hold every exponent of a total degree up to degree."""
-    return max(degree, 1).bit_length()
-
-
-def pack(exps: Iterable[int], b: int) -> int:
-    """
-    The monomial x^exps as one int of b-bit fields, x_1 in the lowest.
-    While every exponent is below 2^b, multiplying monomials is adding their
-    packs, and comparing packs is the pinned order of :func:`monomial_key`.
-
-    >>> pack((1, 2), 3), unpack(17, 3)
-    (17, (1, 2))
-    """
-    return sum(e << (b * i) for i, e in enumerate(exps))
-
-
-def unpack(m: int, b: int) -> Exponents:
-    """The trimmed exponent tuple of a monomial packed by :func:`pack`."""
-    mask = (1 << b) - 1
-    e = []
-    while m:
-        e.append(m & mask)
-        m >>= b
-    return tuple(e)
-
-
 @lru_cache(maxsize=16)
-def _reduction_basis(n: int, b: int) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+def _reduction_basis(n: int) -> tuple[tuple[int, int, tuple[Exponents, ...]], ...]:
     """
     For i = n..1 the rewrite x_i^d == -(h_d(x_1..x_i) minus its lead term),
-    d = n - i + 1.  The lead terms are pairwise coprime pure powers, so the
-    basis is Groebner and remainders are exactly the monomials dividing
-    x^delta.
+    d = n - i + 1, as (i - 1, d, steps): the steps are the exponent differences
+    s - x_i^d, over n variables, of the tail monomials s.  The lead terms are
+    coprime pure powers, so the basis is Groebner and the remainders are the
+    monomials dividing x^delta.
 
-    Each rule is (shift, d, steps) on monomials packed with b-bit fields:
-    a monomial whose field at shift = b * (i - 1) is at least d takes the
-    steps (t, -1) of :func:`_reduce`, one per tail monomial s of h_d, with
-    t = pack(s) - pack(x_i^d), a negative int.
-
-    >>> _reduction_basis(2, 2)  # x2 == -x1: 1 - 4 == -3; x1^2 == 0
-    ((2, 1, ((-3, -1),)), (0, 2, ()))
+    >>> _reduction_basis(2)  # x2 == -x1; x1^2 == 0
+    ((1, 1, ((1, -1),)), (0, 2, ()))
     """
     rules = []
     for i in range(n, 0, -1):
         d = n - i + 1
-        shift = b * (i - 1)
-        lead = d << shift
-        packs = [pack(m, b) for m, _ in complete_h(d, i).items()]
-        steps = tuple((t - lead, -1) for t in packs if t != lead)
-        rules.append((shift, d, steps))
+        steps = (tuple(tail.count(j) - d * (j == i - 1) for j in range(n))
+                 for tail in combinations_with_replacement(range(i), d))
+        rules.append((i - 1, d, tuple(t for t in steps if any(t))))
     return tuple(rules)  # cached and shared, so immutable
-
-
-def _reduce(work: dict[int, int], n: int, b: int) -> dict[int, int]:
-    """
-    The reduction loop modulo <e_1, ..., e_n>, on a dict of monomials packed
-    with b-bit fields, which it empties; it returns the standard terms, those
-    whose monomial divides x^delta.  Every total degree must be below 2^b; a
-    step keeps the degree of the term it rewrites, so no field overflows and
-    int order stays the pinned order.
-
-    The rules of :func:`_reduction_basis` rewrite c * x^m as the sum of
-    c * k * x^(m + t) over the steps (t, k) of the first rule that applies,
-    all smaller than m, so each monomial is taken once, largest first, from
-    a max-heap of negated ints; one whose terms cancelled is skipped when
-    popped, and one no rule applies to is kept.
-    """
-    rules = _reduction_basis(n, b)
-    mask = (1 << b) - 1
-    heap = [-m for m in work]
-    heapify(heap)
-    done: dict[int, int] = {}
-    while heap:
-        m = -heappop(heap)
-        c = work.pop(m, 0)
-        if not c:
-            continue
-        for shift, d, steps in rules:
-            if (m >> shift) & mask >= d:
-                break
-        else:
-            done[m] = c
-            continue
-        for t, k in steps:
-            r = m + t
-            a = c * k
-            old = work.get(r)
-            if old is None:
-                work[r] = a
-                heappush(heap, -r)
-            elif old == -a:
-                del work[r]
-            else:
-                work[r] = old + a
-    return done
 
 
 def normal_form(p: Poly, n: int) -> Poly:
     """
     The unique representative of p modulo <e_1, ..., e_n> on the monomials
-    dividing x^delta, by :func:`_reduce` with fields as wide as the largest
-    total degree of p needs.  Linear, idempotent.  It shares no code with
-    the Monk walk of calc.lr_coefficients, so each checks the other.
+    dividing x^delta.  Linear, idempotent.  It shares no code with the Monk
+    walk of calc.lr_coefficients, so each checks the other.
+
+    It eliminates x_n, ..., x_1 in turn by :func:`_reduction_basis`.  A rewrite
+    of x_i^d lowers the exponent of x_i and keeps x_(i+1)..x_n, so taking the
+    terms by decreasing x_i exponent gives each all its parts before its turn.
 
     >>> normal_form(Poly.variable(2) ** 2 + Poly.variable(1), 2)
     Poly(x1)
     """
     if p.nvars() > n:
         raise ValueError(f"polynomial uses more than {n} variables")
-    b = field_width(max((sum(m) for m, _ in p.items()), default=0))
-    done = _reduce({pack(m, b): c for m, c in p.items()}, n, b)
-    return Poly._of({unpack(m, b): c for m, c in done.items()})
+    work = {m + (0,) * (n - len(m)): c for m, c in p.items()}
+    for i, d, steps in _reduction_basis(n):
+        level: dict[int, list[Exponents]] = {}  # the monomials by x_i exponent
+        for m in work:
+            level.setdefault(m[i], []).append(m)
+        for e in range(max(level, default=0), d - 1, -1):
+            for m in level.get(e, ()):
+                c = work.pop(m, 0)  # 0 if its terms cancelled or it came twice
+                for t in steps if c else ():
+                    r = tuple(map(add, m, t))
+                    old = work.get(r)
+                    if old is None:
+                        work[r] = -c
+                        level.setdefault(r[i], []).append(r)
+                    elif old == c:
+                        del work[r]
+                    else:
+                        work[r] = old - c
+    return Poly._of({trim(m): c for m, c in work.items()})
 
 
 # --- serialization ---------------------------------------------------------
@@ -433,11 +373,8 @@ def poly_from_text(s: str) -> Poly:
     if s == "0":
         return Poly.zero()
     chunks = re.split(r"\s*([+-])\s*", s)
-    if chunks[0] == "":
-        chunks = chunks[1:]
-    else:
-        chunks = ["+"] + chunks
-    if len(chunks) % 2:
+    chunks = chunks[1:] if chunks[0] == "" else ["+"] + chunks
+    if not chunks or len(chunks) % 2:  # empty text is not 0
         raise ValueError(f"malformed polynomial text: {s!r}")
     terms: Counter = Counter()
     for sign, term in zip(chunks[::2], chunks[1::2]):

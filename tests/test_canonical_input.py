@@ -2,7 +2,8 @@
 Every public entry that takes a permutation reads it through perms._perm:
 a list, floats or bools give the same result as the tuple of ints, with
 Python ints in every tuple it returns and in its JSON, and a sequence that
-is not a permutation raises ValueError.
+is not a permutation raises ValueError.  Degrees and composition parts are
+read the same way: 1.0 and True are 1, and 0.5 or "1" raises ValueError.
 """
 
 import json
@@ -25,8 +26,10 @@ from schubert import (
     skew_expansion,
     verify_corollary,
 )
+from schubert.calc import psi_alpha, psi_alpha_normal_form
 from schubert.chains import type_counts
 from schubert.perms import embed_all
+from schubert.poly import check_composition, h_alpha, normal_form
 
 U, W = (1, 3, 2), (3, 2, 1)  # U <= W
 
@@ -98,3 +101,32 @@ def test_json_of_float_input_has_int_permutations():
     assert pieri((1.0, 2.0, 3.0), 1, 1).to_json_obj() == {"213": 1}
     first = next(increasing_chains_to_w0((1.0, 3.0, 2.0)))
     assert chain_to_json_obj(first) == {"start": "132", "steps": [[1, 1], [2, 1]]}
+
+
+def test_degrees_equal_to_ints_are_those_ints():
+    assert pieri(U, 1.0, 1) == pieri(U, True, 1) == pieri(U, 1, 1)
+    assert pieri(U, 1, 1.0) == pieri(U, 1, True) == pieri(U, 1, 1)
+    for alpha in ((1.0, True), [1, 1.0]):
+        got = check_composition(alpha, 3)
+        assert got == (1, 1) and all(type(a) is int for a in got)
+        assert h_alpha(alpha, 3) == h_alpha((1, 1), 3)
+    f = SchubertExpansion(3, {(1, 2, 3): 1})
+    reduced = normal_form(f.as_poly(), 3)
+    assert psi_alpha(f, (2.0, 1.0), 3) == psi_alpha(f, (2, 1), 3) == 1
+    assert psi_alpha_normal_form(reduced, (2.0, True), 3) == 1
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.5, "1", None, float("nan"), float("inf"), [1]])
+def test_degrees_not_equal_to_an_int_raise(bad):
+    with pytest.raises(ValueError):
+        pieri(U, bad, 1)
+    with pytest.raises(ValueError):
+        pieri(U, 1, bad)
+    for alpha in ((bad, 0), (0, bad)):
+        with pytest.raises(ValueError):
+            check_composition(alpha, 3)
+    f = SchubertExpansion(3, {(1, 2, 3): 1})
+    for call in (lambda a: psi_alpha(f, a, 3),
+                 lambda a: psi_alpha_normal_form(normal_form(f.as_poly(), 3), a, 3)):
+        with pytest.raises(ValueError):
+            call((bad, bad))

@@ -12,9 +12,9 @@ from schubert.chains import (
     chain_monomial,
     chain_to_json_obj,
     check_chain,
-    count_by_type,
     increasing_chains,
     increasing_chains_to_w0,
+    padded_type,
     search_toward,
     type_counts,
 )
@@ -130,10 +130,10 @@ def test_star_property_and_branch_consistency(n):
 
 def test_count_by_type():
     u, w0 = (1, 4, 3, 2), (4, 3, 2, 1)
-    assert count_by_type(u, u, (0, 0, 0)) == 1
-    assert count_by_type(u, u, (1, 0, 0)) == 0
-    assert count_by_type(u, w0, (1, 2, 0)) == 1  # the example chain is the only one
+    assert type_counts(u, u)[padded_type((0, 0, 0), 4)] == 1
+    assert type_counts(u, u)[padded_type((1, 0, 0), 4)] == 0
     counts = type_counts(u, w0)
+    assert counts[padded_type((1, 2), 4)] == 1  # the example chain is the only one
     assert sum(counts.values()) == len(list(increasing_chains(u, w0)))
     assert counts[(1, 2, 0)] == 1
 

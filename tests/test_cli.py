@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from schubert.calc import skew, skew_expansion
-from schubert.chains import chain_from_json_obj, count_by_type
+from schubert.chains import chain_from_json_obj, padded_type, type_counts
 from schubert.cli import main
 from schubert.perms import all_perms, perm_to_str
 from schubert.poly import Poly, poly_from_json_obj
@@ -224,7 +224,7 @@ def test_chains_type_filter(capsys):
     code, out, _ = run(capsys, "chains", "1432", "4321", "--type", "1,2,0",
                        "--format", "json")
     lines = out.splitlines()
-    assert len(lines) == count_by_type((1, 4, 3, 2), (4, 3, 2, 1), (1, 2, 0))
+    assert len(lines) == type_counts((1, 4, 3, 2), (4, 3, 2, 1))[padded_type((1, 2, 0), 4)]
     assert json.loads(lines[0])["steps"] == [[1, 1], [2, 1], [2, 2]]
 
 
@@ -233,8 +233,8 @@ def test_chains_type_uses_the_chains_padding_rule(capsys):
     assert base[0] == 0 and base[1]
     assert run(capsys, "chains", "1432", "4321", "--type", "1,2,0,0,0") == base
     assert run(capsys, "chains", "1432", "4321", "--type", "1,2") == base
-    # a nonzero part past n - 1 matches no chain, as in count_by_type
-    assert count_by_type((1, 4, 3, 2), (4, 3, 2, 1), (1, 1, 0, 1)) == 0
+    # a nonzero part past n - 1 matches no chain, as in padded_type
+    assert type_counts((1, 4, 3, 2), (4, 3, 2, 1))[padded_type((1, 1, 0, 1), 4)] == 0
     assert run(capsys, "chains", "1432", "4321", "--type", "1,1,0,1") == (0, "", "")
 
 

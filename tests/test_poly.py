@@ -1,5 +1,3 @@
-from itertools import product
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,18 +8,14 @@ from schubert.poly import (
     complete_h,
     divides_staircase,
     elementary,
-    field_width,
     h_alpha,
     monomial_key,
     normal_form,
-    pack,
     poly_from_json_obj,
     poly_from_text,
     poly_to_json_obj,
     poly_to_text,
     staircase_exponent,
-    trim,
-    unpack,
 )
 
 x1, x2, x3 = Poly.variable(1), Poly.variable(2), Poly.variable(3)
@@ -187,15 +181,15 @@ def test_normal_form_at_the_field_width_boundary(text, n):
     assert dict(normal_form(p, n).items()) == max_ordered_normal_form(dict(p.items()), n)
 
 
-@pytest.mark.parametrize("b", [1, 2, 3, 4])
-def test_packing_is_exact_and_keeps_the_order_up_to_full_fields(b):
-    top = 2 ** b - 1
-    assert field_width(top) == b and field_width(top + 1) == b + 1
-    exps = list(product(range(top + 1), repeat=3))
-    for e in exps:
-        assert unpack(pack(e, b), b) == trim(e)
-    by_pack = sorted(exps, key=lambda e: pack(e, b))
-    assert by_pack == sorted(exps, key=lambda e: monomial_key(e, 3))
+# inputs far above x^delta, which the elimination of x_i takes in many rounds
+@pytest.mark.parametrize("p, n", [
+    (x2 ** 500 + x2 ** 2, 3),
+    ((x1 + x2 + x3) ** 12 - (x1 + x2 + x3) ** 3, 4),
+    (Poly.monomial((4, 3, 2, 1)) - 2 * Poly.monomial((5, 4, 3, 2)) + x3 ** 2 * x2, 4),
+], ids=["x2^500", "(x1+x2+x3)^12", "above-every-bound"])
+def test_normal_form_matches_the_oracle_over_many_rounds(p, n):
+    nf = normal_form(p, n)
+    assert nf and dict(nf.items()) == max_ordered_normal_form(dict(p.items()), n)
 
 
 def test_h_alpha_at_delta_contains_staircase_monomial():
@@ -211,6 +205,9 @@ def test_text_round_trip():
     assert poly_from_text("x1^2*x2 + x1*x2^2") == p
     assert poly_to_text(Poly.zero()) == "0"
     assert poly_from_text("0") == Poly.zero()
+    for text in ("", "   ", "\n"):  # zero is written 0
+        with pytest.raises(ValueError, match="malformed polynomial text"):
+            poly_from_text(text)
     q = -3 * x1 + x2 ** 4 - 1
     assert poly_from_text(poly_to_text(q)) == q
     assert poly_to_text(Poly.constant(7)) == "7"
