@@ -12,9 +12,12 @@ All questions about the chains that end at one w are answered by one
 search, search_toward(w), shared by every start u: a recursion over
 (node, last label) whose memo holds the types of the chains from the node
 to w with every label above the last.  It stays in [u, w]: each cover from
-a node's swap scan is tested against w once, by the Bruhat test
-perms._below(w), and the labels are laid out row by row, sorted without a sort.
-type_counts reads u's memo entry; increasing_chains walks the covers found.
+a node's swap scan is tested against w by one subtraction from the rank
+counts of the node (perms._covers_below, the test of perms._below(w)) before
+it is built.  The search keeps the covers in scan order, since a sum over the
+labels above the last needs no order.  type_counts reads u's memo entry;
+increasing_chains walks the covers found, laying out the labels of each node
+it enters row by row, sorted without a sort.
 
 Chains ending at the longest permutation admit a much better search: the
 branches below a node u all swap the same position k, the minimal one with
@@ -33,9 +36,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
-from .perms import (Label, Perm, _below, _json_int, _json_shape, _label_rows, _perm,
-                    _perm_pair, cover_partners, labeled_covers, labeled_edges, longest,
-                    perm_from_str, perm_to_str)
+from .perms import (Label, Perm, _as_int, _below, _covers_below, _json_int, _json_shape,
+                    _label_rows, _perm, _perm_pair, cover_partners, labeled_covers, labeled_edges,
+                    longest, perm_from_str, perm_to_str)
 
 Composition = tuple[int, ...]
 
@@ -90,45 +93,39 @@ def chain_monomial(chain: LabeledChain) -> Composition:
     return cell_type(chain.labels, chain.n)
 
 
-def _covers_toward(p: Perm, w: Perm) -> list[tuple[Label, Perm]]:
-    """
-    The labeled covers (lab, v) of p with v <= w, in the order of labeled_covers:
-    each cover of the swap scan is tested once, by the test of perms._below(w).
-    """
-    below = _below(w)
-    return _label_rows(p, [[(j, v) for j, v in cover_partners(p, i) if below(v)]
-                           for i in range(1, len(p))])
-
-
 def search_toward(w: Perm):
     """
     One memoized search for the increasing chains that end at w, shared by
     every start.  Returns (types, near): types(p, last=(0, 0)) maps each type
     of a chain from p to w with every label above last to its number of
-    chains; near maps each node entered to its covers toward w, one Bruhat
-    test per cover, labels by row in the order of labeled_covers.  The memo is
-    keyed by (node, last label), so a node's types are counted once, not once
-    per chain through it.  The dicts types returns belong to the memo: copy one first.
+    chains; near maps each node entered to its covers (i, j, v) toward w in
+    the order of the swap scan (perms._covers_below, one subtraction per
+    cover).  The sum over labels needs no order, so none is laid out here.
+    The memo is keyed by (node, last label), so a node's types are counted
+    once, not once per chain through it.  The dicts types returns belong to
+    the memo: copy one first.
     """
     unit = {(0,) * (len(w) - 1): 1}  # the types of the empty chain at w
     memo: dict[tuple[Perm, Label], dict[Composition, int]] = {}
-    near: dict[Perm, list[tuple[Label, Perm]]] = {}
+    near: dict[Perm, list[tuple[int, int, Perm]]] = {}
 
     def suffixes(p: Perm, last: Label) -> dict[Composition, int]:
         if (covers := near.get(p)) is None:
-            covers = near[p] = _covers_toward(p, w)
+            covers = near[p] = _covers_below(p, w)
         out: dict[Composition, int] = {}
-        for lab, v in covers:
-            if lab <= last:
-                continue
-            row = lab[0] - 1
-            if v == w:
-                below = unit
-            elif (below := memo.get((v, lab))) is None:
-                below = memo[v, lab] = suffixes(v, lab)
-            for gamma, c in below.items():
-                gamma = gamma[:row] + (gamma[row] + 1,) + gamma[row + 1:]
-                out[gamma] = out.get(gamma, 0) + c
+        k0, b0 = last
+        for i, j, v in covers:
+            b = p[i - 1]
+            lo = k0 if b > b0 else k0 + 1  # the labels (k, b), i <= k < j, above last
+            for k in range(i if i > lo else lo, j):
+                if v == w:
+                    below = unit
+                elif (below := memo.get((v, (k, b)))) is None:
+                    below = memo[v, (k, b)] = suffixes(v, (k, b))
+                row = k - 1
+                for gamma, c in below.items():
+                    gamma = gamma[:row] + (gamma[row] + 1,) + gamma[row + 1:]
+                    out[gamma] = out.get(gamma, 0) + c
         return out
 
     def types(p: Perm, last: Label = (0, 0)) -> dict[Composition, int]:
@@ -146,8 +143,9 @@ def increasing_chains(u: Perm, w: Perm) -> Iterator[LabeledChain]:
     Every increasing chain from u to w, each exactly once, in lexicographic
     order of the label sequence.  Empty when u is not below w; the single
     empty chain when u == w.  After search_toward(w) has counted the types
-    from u, the walk takes only the covers whose memo entry is non-empty,
-    so every node it enters lies on a chain to w.  From 1432 to 4321:
+    from u, the walk lays out by row the labels of each node it enters, from
+    the covers the search found, and takes only those whose memo entry is
+    non-empty, so every node it enters lies on a chain to w.  From 1432 to 4321:
 
     >>> for chain in increasing_chains((1, 4, 3, 2), (4, 3, 2, 1)):
     ...     print(chain.labels, chain_monomial(chain))
@@ -159,13 +157,16 @@ def increasing_chains(u: Perm, w: Perm) -> Iterator[LabeledChain]:
     """
     u, w = _perm_pair(u, w)
     types, near = search_toward(w)
+    rows: dict[Perm, list[tuple[Label, Perm]]] = {}
     perms, labels = [u], []
 
     def above(p: Perm, last: Label) -> Iterator[LabeledChain]:
         if p == w:
             yield LabeledChain(tuple(perms), tuple(labels))
             return
-        for lab, v in near[p]:
+        if (edges := rows.get(p)) is None:
+            edges = rows[p] = _label_rows(p, near[p])
+        for lab, v in edges:
             if lab > last and types(v, lab):
                 perms.append(v)
                 labels.append(lab)
@@ -219,8 +220,11 @@ def type_counts(u: Perm, w: Perm) -> Counter:
 
 
 def padded_type(alpha: Sequence[int], n: int) -> Composition:
-    """alpha in n - 1 parts; with a nonzero part past n - 1 it matches no chain."""
-    alpha = tuple(alpha)
+    """
+    alpha in n - 1 parts, each read like an entry of as_perm (perms._as_int);
+    with a nonzero part past n - 1 it matches no chain.
+    """
+    alpha = tuple(map(_as_int, alpha))
     if len(alpha) > n - 1:
         if any(alpha[n - 1:]):
             return alpha  # can never match a real type, so its count is 0

@@ -213,19 +213,21 @@ def labeled_covers(u: Perm) -> list[tuple[Label, Perm]]:
     >>> labeled_covers((1, 3, 2, 4))[:3]
     [((1, 1), (2, 3, 1, 4)), ((1, 1), (3, 1, 2, 4)), ((2, 1), (2, 3, 1, 4))]
     """
-    return _label_rows(u, [cover_partners(u, i) for i in range(1, len(u))])
+    return _label_rows(u, [(i, j, v) for v, (i, j) in bruhat_covers(u)])
 
 
-def _label_rows(u: Perm, partners: list[list[tuple[int, Perm]]]) -> list[tuple[Label, Perm]]:
+def _label_rows(u: Perm, covers: list[tuple[int, int, Perm]]) -> list[tuple[Label, Perm]]:
     """
-    The edges ((k, u(i)), v), i <= k < j, of the covers (j, v) in partners[i - 1],
-    i < n, each list increasing in j: sorted without a sort, by row k, then by u(i)
-    (positions are taken by value), then by v, which is by decreasing j.
+    The edges ((k, u(i)), v), i <= k < j, of the covers (i, j, v) of u in the
+    order of the swap scan (by i, then j): sorted without a sort, by row k, then
+    by u(i) (positions are taken by value), then by v, which is by decreasing j.
     """
-    by_value = [(i, u[i - 1], partners[i - 1][::-1]) for i in inverse(u)
-                if i < len(u) and partners[i - 1]]
-    return [((k, b), v) for k in range(1, len(u)) for i, b, down in by_value if i <= k
-            for j, v in down if j > k]
+    down: dict[int, list[tuple[int, Perm]]] = {}
+    for i, j, v in reversed(covers):
+        down.setdefault(i, []).append((j, v))
+    by_value = [(i, u[i - 1], down[i]) for i in inverse(u) if i in down]
+    return [((k, b), v) for k in range(1, len(u)) for i, b, d in by_value if i <= k
+            for j, v in d if j > k]
 
 
 def labeled_edges(u: Perm, w: Perm) -> list[Label]:
@@ -293,6 +295,24 @@ def _ranks(w: Perm) -> int:
     return r
 
 
+@lru_cache(maxsize=16)
+def _swap_tables(n: int) -> tuple[int, list[list[int]], list[list[int]]]:
+    """
+    (guard, rows, cols) for S_n.  guard sets the top bit of every field of
+    :func:`_ranks`.  Swapping the values a < b at positions i < j raises
+    r(k, c) by one exactly for i <= k < j and a < c <= b, so it adds
+    rows[i][j] * cols[a][b] to the ranks: field (k, c) sits
+    (n - 1)(n - 1 - k) + n - c fields up.
+    """
+    width = _rank_width(n)
+    guard = sum(1 << (width * f + width - 1) for f in range((n - 1) ** 2))
+    rows = [[sum(1 << width * (n - 1) * (n - 1 - k) for k in range(i, j)) for j in range(n + 1)]
+            for i in range(n + 1)]
+    cols = [[sum(1 << width * (n - c) for c in range(a + 1, b + 1)) for b in range(n + 1)]
+            for a in range(n + 1)]
+    return guard, rows, cols
+
+
 @lru_cache(maxsize=4096)
 def _below(w: Perm) -> Callable[[Perm], bool]:
     """
@@ -300,10 +320,39 @@ def _below(w: Perm) -> Callable[[Perm], bool]:
     field's guard bit set; subtracting the ranks of u borrows from a guard
     exactly where r_u(k, i) > r_w(k, i), and never into the next field.
     """
-    b = _rank_width(len(w))
-    guard = sum(1 << (b * f + b - 1) for f in range((len(w) - 1) ** 2))
+    guard = _swap_tables(len(w))[0]
     top = _ranks(w) | guard
     return lambda u: (top - _ranks(u)) & guard == guard
+
+
+def _covers_below(p: Perm, w: Perm) -> list[tuple[int, int, Perm]]:
+    """
+    Each cover p -> v = p*(i,j) with v <= w, as (i, j, v) in the order of the
+    swap scan (i, then j, increasing; see :func:`cover_partners`).  The ranks of
+    v are those of p plus the swap's rectangle (:func:`_swap_tables`), so each
+    cover is tested by the subtraction of :func:`_below`, for any p, and its
+    tuple is built only when it passes.
+
+    >>> _covers_below((1, 4, 3, 2), (4, 2, 3, 1))
+    [(1, 2, (4, 1, 3, 2)), (1, 4, (2, 4, 3, 1))]
+    """
+    n = len(p)
+    guard, rows, cols = _swap_tables(n)
+    room = (_ranks(w) | guard) - _ranks(p)  # as in _below(w)
+    out = []
+    for i in range(1, n):
+        a = p[i - 1]
+        row, col = rows[i], cols[a]
+        bound = n + 1
+        for j in range(i + 1, n + 1):
+            b = p[j - 1]
+            if a < b < bound:
+                bound = b
+                if (room - row[j] * col[b]) & guard == guard:
+                    v = list(p)
+                    v[i - 1], v[j - 1] = b, a
+                    out.append((i, j, tuple(v)))
+    return out
 
 
 def embed(w: Perm, m: int) -> Perm:

@@ -221,6 +221,7 @@ def _coerce(x: "Poly | int") -> Poly:
 
 def elementary(i: int, n: int) -> Poly:
     """The elementary symmetric polynomial e_i(x_1, ..., x_n)."""
+    i, n = _as_int(i), _as_int(n)
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
     terms: dict[Exponents, int] = {}
@@ -234,6 +235,7 @@ def elementary(i: int, n: int) -> Poly:
 
 def complete_h(a: int, k: int) -> Poly:
     """The complete homogeneous symmetric polynomial h_a(x_1, ..., x_k)."""
+    a, k = _as_int(a), _as_int(k)
     if a < 0 or k < 1:
         raise ValueError(f"need a >= 0 and k >= 1, got a={a}, k={k}")
     terms: dict[Exponents, int] = {}

@@ -29,6 +29,7 @@ from schubert.perms import (
     _below,
     _perm,
     _ranks,
+    _swap_tables,
     all_perms,
     bruhat_leq,
     code,
@@ -92,6 +93,7 @@ def test_caches_are_bounded_and_hit():
     assert calc._w0_times.cache_info().maxsize == 4096
     assert _ranks.cache_info().maxsize == 8192
     assert _below.cache_info().maxsize == 4096
+    assert _swap_tables.cache_info().maxsize == 16
     assert _perm.cache_info().maxsize == 8192
     assert poly._reduction_basis.cache_info().maxsize == 16
     before = calc._schubert.cache_info().hits
@@ -108,6 +110,10 @@ def test_caches_are_bounded_and_hit():
     lr_coefficients([2, 1, 3], [1, 3, 2], 3)
     # S_213 = x1 has fewer terms than S_132: one Monk step, x1 * S_132
     assert [f.cache_info().hits - h for f, h in zip(caches, before)] == [2, 1, 2, 1]
+    type_counts((1, 2, 3), (3, 2, 1))  # the chain search reads the S_3 swap tables per node
+    before = _swap_tables.cache_info().hits
+    type_counts((1, 2, 3), (3, 2, 1))
+    assert _swap_tables.cache_info().hits > before
 
 
 # --- skew polynomials -------------------------------------------------------

@@ -27,9 +27,9 @@ from schubert import (
     verify_corollary,
 )
 from schubert.calc import psi_alpha, psi_alpha_normal_form
-from schubert.chains import type_counts
+from schubert.chains import padded_type, type_counts
 from schubert.perms import embed_all
-from schubert.poly import check_composition, h_alpha, normal_form
+from schubert.poly import check_composition, complete_h, elementary, h_alpha, normal_form
 
 U, W = (1, 3, 2), (3, 2, 1)  # U <= W
 
@@ -114,6 +114,11 @@ def test_degrees_equal_to_ints_are_those_ints():
     reduced = normal_form(f.as_poly(), 3)
     assert psi_alpha(f, (2.0, 1.0), 3) == psi_alpha(f, (2, 1), 3) == 1
     assert psi_alpha_normal_form(reduced, (2.0, True), 3) == 1
+    assert padded_type((1.0, True), 4) == (1, 1, 0)
+    assert all(type(a) is int for a in padded_type((1.0, True), 4))
+    assert verify_corollary(U, W, (1.0, 0)) == verify_corollary(U, W, (True, 0.0))
+    assert complete_h(1.0, 2) == complete_h(True, 2.0) == complete_h(1, 2)
+    assert elementary(1.0, 2) == elementary(True, 2.0) == elementary(1, 2)
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.5, "1", None, float("nan"), float("inf"), [1]])
@@ -130,3 +135,13 @@ def test_degrees_not_equal_to_an_int_raise(bad):
                  lambda a: psi_alpha_normal_form(normal_form(f.as_poly(), 3), a, 3)):
         with pytest.raises(ValueError):
             call((bad, bad))
+    for alpha in ((bad, 0), (0, bad)):
+        with pytest.raises(ValueError):
+            padded_type(alpha, 3)
+        with pytest.raises(ValueError):
+            verify_corollary(U, W, alpha)
+    for call in (complete_h, elementary):
+        with pytest.raises(ValueError):
+            call(bad, 2)
+        with pytest.raises(ValueError):
+            call(1, bad)

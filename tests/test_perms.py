@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from schubert.perms import (
+    _covers_below,
     _perm,
     all_perms,
     as_perm,
@@ -189,6 +190,41 @@ def test_bruhat_leq_matches_sorted_prefixes(pair):
     assert bruhat_leq(u, longest(len(u)))
     for v, _ in bruhat_covers(u):
         assert bruhat_leq(u, v) and not bruhat_leq(v, u)
+
+
+def covers_below_by_oracle(p, w):
+    """Every swap p*(i,j) that adds one inversion and lies below w by sorted prefixes, by (i, j)."""
+    out = []
+    for i in range(1, len(p)):
+        for j in range(i + 1, len(p) + 1):
+            v = p[:i - 1] + (p[j - 1],) + p[i:j - 1] + (p[i - 1],) + p[j:]
+            if (inversion_count(v) == inversion_count(p) + 1
+                    and bruhat_leq_by_sorted_prefixes(v, w)):
+                out.append((i, j, v))
+    return out
+
+
+def test_covers_below_match_the_oracle_on_s4():
+    # every ordered pair, p not below w included
+    for p in all_perms(4):
+        for w in all_perms(4):
+            assert _covers_below(p, w) == covers_below_by_oracle(p, w), (p, w)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_covers_below_match_the_oracle(data):
+    n = data.draw(st.integers(min_value=5, max_value=8))
+    p = w = data.draw(perms_of(n))
+    if data.draw(st.booleans()):
+        w = data.draw(perms_of(n))
+    else:  # a climb from p, so that w is above p and some covers are kept
+        for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
+            edges = labeled_covers_by_sort(w)
+            if not edges:
+                break
+            w = data.draw(st.sampled_from(edges))[1]
+    assert _covers_below(p, w) == covers_below_by_oracle(p, w)
 
 
 def test_bruhat_leq_rejects_a_size_mismatch():
