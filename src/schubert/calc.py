@@ -58,6 +58,7 @@ class SchubertExpansion:
     terms: Mapping[Perm, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_int(self.n))
         object.__setattr__(
             self, "terms", {_perm(tuple(w)): c for w, c in self.terms.items() if c != 0}
         )
@@ -228,6 +229,7 @@ def expand_in_schubert_basis(p: Poly, n: int) -> SchubertExpansion:
     ValueError, naming the largest one, when a monomial of p does not divide
     x^delta: p is then not in the span.
     """
+    n = _as_int(n)
     outside = {m: c for m, c in p.items() if not divides_staircase(m, n)}
     if outside:
         m = Poly(outside).sorted_terms()[-1][0]

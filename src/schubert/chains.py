@@ -16,8 +16,8 @@ a node's swap scan is tested against w by one subtraction from the rank
 counts of the node (perms._covers_below, the test of perms._below(w)) before
 it is built.  The search keeps the covers in scan order, since a sum over the
 labels above the last needs no order.  type_counts reads u's memo entry;
-increasing_chains walks the covers found, laying out the labels of each node
-it enters row by row, sorted without a sort.
+increasing_chains walks the covers found, sorting the labels of each node it
+enters (perms._sorted_edges).
 
 Chains ending at the longest permutation admit a much better search: the
 branches below a node u all swap the same position k, the minimal one with
@@ -36,8 +36,8 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
-from .perms import (Label, Perm, _as_int, _below, _covers_below, _json_int, _json_shape,
-                    _label_rows, _perm, _perm_pair, cover_partners, labeled_covers, labeled_edges,
+from .perms import (Label, Perm, _as_int, _below, _covers_below, _json_int, _json_shape, _perm,
+                    _perm_pair, _sorted_edges, cover_partners, labeled_covers, labeled_edges,
                     longest, perm_from_str, perm_to_str)
 
 Composition = tuple[int, ...]
@@ -100,10 +100,9 @@ def search_toward(w: Perm):
     of a chain from p to w with every label above last to its number of
     chains; near maps each node entered to its covers (i, j, v) toward w in
     the order of the swap scan (perms._covers_below, one subtraction per
-    cover).  The sum over labels needs no order, so none is laid out here.
-    The memo is keyed by (node, last label), so a node's types are counted
-    once, not once per chain through it.  The dicts types returns belong to
-    the memo: copy one first.
+    cover), unsorted: the sum over labels needs no order.  The memo is keyed
+    by (node, last label), so a node's types are counted once, not once per
+    chain through it.  The dicts types returns belong to the memo: copy one first.
     """
     unit = {(0,) * (len(w) - 1): 1}  # the types of the empty chain at w
     memo: dict[tuple[Perm, Label], dict[Composition, int]] = {}
@@ -143,8 +142,8 @@ def increasing_chains(u: Perm, w: Perm) -> Iterator[LabeledChain]:
     Every increasing chain from u to w, each exactly once, in lexicographic
     order of the label sequence.  Empty when u is not below w; the single
     empty chain when u == w.  After search_toward(w) has counted the types
-    from u, the walk lays out by row the labels of each node it enters, from
-    the covers the search found, and takes only those whose memo entry is
+    from u, the walk sorts the labels of each node it enters, from the covers
+    the search found, once per node, and takes only those whose memo entry is
     non-empty, so every node it enters lies on a chain to w.  From 1432 to 4321:
 
     >>> for chain in increasing_chains((1, 4, 3, 2), (4, 3, 2, 1)):
@@ -165,7 +164,7 @@ def increasing_chains(u: Perm, w: Perm) -> Iterator[LabeledChain]:
             yield LabeledChain(tuple(perms), tuple(labels))
             return
         if (edges := rows.get(p)) is None:
-            edges = rows[p] = _label_rows(p, near[p])
+            edges = rows[p] = _sorted_edges(p, near[p])
         for lab, v in edges:
             if lab > last and types(v, lab):
                 perms.append(v)

@@ -39,6 +39,8 @@ def _perm(w: tuple) -> Perm:
 
 def _as_int(x) -> int:
     """x read like an entry of as_perm: a value equal to an int (1.0, True) is that int."""
+    if type(x) is int:
+        return x
     with suppress(TypeError, ValueError, OverflowError):
         if int(x) == x:
             return int(x)
@@ -69,6 +71,7 @@ def identity(n: int) -> Perm:
     >>> identity(3)
     (1, 2, 3)
     """
+    n = _as_int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     return tuple(range(1, n + 1))
@@ -81,6 +84,7 @@ def longest(n: int) -> Perm:
     >>> longest(4)
     (4, 3, 2, 1)
     """
+    n = _as_int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     return tuple(range(n, 0, -1))
@@ -177,23 +181,14 @@ def monk(w: Perm, i: int) -> list[tuple[Perm, int]]:
     """
     Monk's rule in H*(Fl_n) as (v, +1) and (v, -1) pairs: x_i * S_w is the
     sum of S_{w*(i,j)} over the covers with j > i (:func:`cover_partners`)
-    minus that over the covers w -> w*(j,i), j < i, found by the mirror scan.
+    minus that over the covers w -> w*(j,i), j < i, by decreasing j.
     The cover swapping i and n + 1 leaves S_n: its S_v lies in <e_1..e_n>.
 
     >>> monk((1, 2, 3), 2)  # x_2 = S_132 - S_213
     [((1, 3, 2), 1), ((2, 1, 3), -1)]
     """
-    out = [(v, 1) for _, v in cover_partners(w, i)]
-    a = w[i - 1]
-    bound = 0
-    for j in range(i - 2, -1, -1):
-        b = w[j]
-        if bound < b < a:
-            bound = b
-            v = list(w)
-            v[j], v[i - 1] = a, b
-            out.append((tuple(v), -1))
-    return out
+    return ([(v, 1) for _, v in cover_partners(w, i)]
+            + [(v, -1) for j in range(i - 1, 0, -1) for k, v in cover_partners(w, j) if k == i])
 
 
 def bruhat_covers(u: Perm) -> list[tuple[Perm, tuple[int, int]]]:
@@ -206,28 +201,20 @@ def bruhat_covers(u: Perm) -> list[tuple[Perm, tuple[int, int]]]:
 
 def labeled_covers(u: Perm) -> list[tuple[Label, Perm]]:
     """
-    Every labeled edge ((k, b), w) out of u, in sorted order (by row, from
-    _label_rows).  The cover u -> u*(i,j) carries the j - i labels (k, u(i))
-    with i <= k < j, so a label can sit on several covers; from 1324 (1, 1) does:
+    Every labeled edge ((k, b), w) out of u, in sorted order (:func:`_sorted_edges`).
+    The cover u -> u*(i,j) carries the j - i labels (k, u(i)) with i <= k < j,
+    so a label can sit on several covers, which share i and so come by
+    decreasing j; from 1324 (1, 1) does:
 
     >>> labeled_covers((1, 3, 2, 4))[:3]
     [((1, 1), (2, 3, 1, 4)), ((1, 1), (3, 1, 2, 4)), ((2, 1), (2, 3, 1, 4))]
     """
-    return _label_rows(u, [(i, j, v) for v, (i, j) in bruhat_covers(u)])
+    return _sorted_edges(u, [(i, j, v) for v, (i, j) in bruhat_covers(u)])
 
 
-def _label_rows(u: Perm, covers: list[tuple[int, int, Perm]]) -> list[tuple[Label, Perm]]:
-    """
-    The edges ((k, u(i)), v), i <= k < j, of the covers (i, j, v) of u in the
-    order of the swap scan (by i, then j): sorted without a sort, by row k, then
-    by u(i) (positions are taken by value), then by v, which is by decreasing j.
-    """
-    down: dict[int, list[tuple[int, Perm]]] = {}
-    for i, j, v in reversed(covers):
-        down.setdefault(i, []).append((j, v))
-    by_value = [(i, u[i - 1], down[i]) for i in inverse(u) if i in down]
-    return [((k, b), v) for k in range(1, len(u)) for i, b, d in by_value if i <= k
-            for j, v in d if j > k]
+def _sorted_edges(u: Perm, covers: list[tuple[int, int, Perm]]) -> list[tuple[Label, Perm]]:
+    """The edges ((k, u(i)), v), i <= k < j, of the covers (i, j, v) of u, sorted."""
+    return sorted(((k, u[i - 1]), v) for i, j, v in covers for k in range(i, j))
 
 
 def labeled_edges(u: Perm, w: Perm) -> list[Label]:
@@ -240,11 +227,10 @@ def labeled_edges(u: Perm, w: Perm) -> list[Label]:
     >>> labeled_edges((4, 1, 3, 2), (4, 2, 3, 1))
     [(2, 1), (3, 1)]
     """
-    moved = [p for p in range(len(u)) if u[p] != w[p]] if len(u) == len(w) else []
-    if len(moved) == 2:
+    moved = [p for p, (a, b) in enumerate(zip(u, w), 1) if a != b]
+    if len(moved) == 2 and (moved[1], tuple(w)) in cover_partners(u, moved[0]):
         i, j = moved
-        if u[i] < u[j] == w[i] and w[j] == u[i] and not any(u[i] < c < u[j] for c in u[i + 1:j]):
-            return [(k, u[i]) for k in range(i + 1, j + 1)]
+        return [(k, u[i - 1]) for k in range(i, j)]
     raise ValueError(f"{u} -> {w} is not a cover")
 
 
@@ -384,8 +370,7 @@ def embed_all(
         perms = [_perm(tuple(w)) for w in ws]
     except TypeError:  # an unhashable entry: as_perm raises, uncached
         perms = [as_perm(w) for w in ws]
-    if n is None:
-        n = max(len(w) for w in perms)
+    n = max(len(w) for w in perms) if n is None else _as_int(n)
     return [w if len(w) == n else embed(w, n) for w in perms], n
 
 

@@ -104,6 +104,7 @@ class Poly:
     @classmethod
     def variable(cls, i: int) -> "Poly":
         """x_i, 1-indexed."""
+        i = _as_int(i)
         if i < 1:
             raise ValueError("variables are 1-indexed")
         return cls({(0,) * (i - 1) + (1,): 1})
@@ -259,7 +260,7 @@ def check_composition(alpha: Iterable[int], n: int) -> tuple[int, ...]:
     ...
     ValueError: part alpha_1=3 outside 0..2
     """
-    alpha = tuple(map(_as_int, alpha))
+    alpha, n = tuple(map(_as_int, alpha)), _as_int(n)
     if len(alpha) != n - 1:
         raise ValueError(f"composition needs {n - 1} parts, got {len(alpha)}")
     for i, a in enumerate(alpha):
@@ -316,6 +317,7 @@ def normal_form(p: Poly, n: int) -> Poly:
     >>> normal_form(Poly.variable(2) ** 2 + Poly.variable(1), 2)
     Poly(x1)
     """
+    n = _as_int(n)
     if p.nvars() > n:
         raise ValueError(f"polynomial uses more than {n} variables")
     work = {m + (0,) * (n - len(m)): c for m, c in p.items()}

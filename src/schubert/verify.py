@@ -22,7 +22,7 @@ from .calc import (
     skew_expansion,
 )
 from .chains import chain_monomial, increasing_chains_to_w0, search_toward
-from .perms import Perm, all_perms, bruhat_leq, longest, perm_to_str
+from .perms import Perm, _as_int, all_perms, bruhat_leq, longest, perm_to_str
 from .poly import Poly, complete_h, normal_form
 from .rcgraphs import chain_of_rcgraph, enumerate_rcgraphs, monomial, rcgraph_of_chain
 
@@ -54,6 +54,7 @@ def run_suite(suite: str, n: int = 4, seed: int = 0) -> Report:
     """Run one suite; an exception in the checked code fails it, after the checks so far."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    n = _as_int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     rep = Report(suite, n, seed)

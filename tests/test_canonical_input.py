@@ -2,8 +2,9 @@
 Every public entry that takes a permutation reads it through perms._perm:
 a list, floats or bools give the same result as the tuple of ints, with
 Python ints in every tuple it returns and in its JSON, and a sequence that
-is not a permutation raises ValueError.  Degrees and composition parts are
-read the same way: 1.0 and True are 1, and 0.5 or "1" raises ValueError.
+is not a permutation raises ValueError.  Degrees, composition parts and the
+ambient size n are read the same way: 1.0 and True are 1, and 0.5 or "1"
+raises ValueError.
 """
 
 import json
@@ -12,6 +13,7 @@ import pytest
 
 from schubert import (
     LabeledChain,
+    expand_in_schubert_basis,
     Poly,
     SchubertExpansion,
     bruhat_leq,
@@ -28,8 +30,9 @@ from schubert import (
 )
 from schubert.calc import psi_alpha, psi_alpha_normal_form
 from schubert.chains import padded_type, type_counts
-from schubert.perms import embed_all
+from schubert.perms import embed_all, identity, longest
 from schubert.poly import check_composition, complete_h, elementary, h_alpha, normal_form
+from schubert.verify import run_suite
 
 U, W = (1, 3, 2), (3, 2, 1)  # U <= W
 
@@ -145,3 +148,50 @@ def test_degrees_not_equal_to_an_int_raise(bad):
             call(bad, 2)
         with pytest.raises(ValueError):
             call(1, bad)
+
+
+# each entry called with the ambient size n alone varying
+SIZED = {
+    "embed_all": lambda n: embed_all([U, W], n),
+    "schubert": lambda n: schubert(U, n),
+    "skew": lambda n: skew(W, U, n),
+    "skew_expansion": lambda n: skew_expansion(W, U, n),
+    "lr_coefficients": lambda n: lr_coefficients(U, U, n),
+    "pieri": lambda n: pieri(U, 1, 1, n),
+    "psi_alpha": lambda n: psi_alpha(SchubertExpansion(4, {(1, 3, 2, 4): 1}), (2, 2, 1), n),
+    "identity": identity,
+    "longest": longest,
+    "normal_form": lambda n: normal_form(Poly.variable(1) ** 4, n),
+    "expand_in_schubert_basis": lambda n: expand_in_schubert_basis(Poly.variable(1), n),
+    "Poly.variable": Poly.variable,
+    "SchubertExpansion": lambda n: (SchubertExpansion(n, {(1, 3, 2, 4): 1}),
+                                    SchubertExpansion(n, {(1, 3, 2, 4): 1}).as_poly()),
+    "run_suite": lambda n: run_suite("routes", n),
+}
+
+
+def outcome(call, n):
+    """The repr of call(n), which shows a float where an int belongs, or its error."""
+    try:
+        return repr(call(n))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("given, n", [(4.0, 4), (True, 1)])
+@pytest.mark.parametrize("entry", SIZED)
+def test_sizes_equal_to_ints_are_those_ints(entry, given, n):
+    assert outcome(SIZED[entry], given) == outcome(SIZED[entry], n)
+
+
+def test_sizes_give_results_at_4():
+    # so that the comparison above is between results, not between errors
+    for entry, call in SIZED.items():
+        assert not outcome(call, 4).startswith("ValueError"), entry
+    assert run_suite("routes", 4.0).status == "PASS"
+
+
+@pytest.mark.parametrize("entry", SIZED)
+def test_sizes_not_equal_to_an_int_raise(entry):
+    with pytest.raises(ValueError, match="not an integer"):
+        SIZED[entry](0.5)

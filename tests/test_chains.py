@@ -17,8 +17,8 @@ from schubert.chains import (
     search_toward,
     type_counts,
 )
-from schubert.perms import (_covers_below, _label_rows, all_perms, bruhat_covers, labeled_edges,
-                            length, longest)
+from schubert.perms import (_covers_below, _sorted_edges, all_perms, bruhat_covers,
+                            labeled_edges, length, longest)
 
 from oracles import (
     brute_force_chains,
@@ -191,14 +191,14 @@ def covers_toward_by_oracle(p, w):
 def check_covers_toward(p, w):
     """
     The search sums over the labels (k, p(i)), i <= k < j, of the covers
-    (i, j, v) that perms._covers_below keeps, in any order; the walk lays them
-    out by perms._label_rows.  The first must be the filtered oracle as a
+    (i, j, v) that perms._covers_below keeps, in any order; the walk sorts
+    them by perms._sorted_edges.  The first must be the filtered oracle as a
     multiset, the second must be it in its sorted order.
     """
     covers = _covers_below(p, w)
     want = covers_toward_by_oracle(p, w)
     assert Counter(((k, p[i - 1]), v) for i, j, v in covers for k in range(i, j)) == Counter(want)
-    assert _label_rows(p, covers) == want
+    assert _sorted_edges(p, covers) == want
 
 
 def test_covers_toward_match_the_filtered_oracle_on_s4():
