@@ -159,11 +159,7 @@ def _check_below(u: Perm, w: Perm) -> None:
         )
 
 
-@lru_cache(maxsize=8192)
-def _monk_step(w: Perm, i: int) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
-    """The terms of x_i * S_w (perms.monk), split by sign."""
-    pairs = monk(w, i)
-    return tuple(v for v, s in pairs if s > 0), tuple(v for v, s in pairs if s < 0)
+_monk_step = lru_cache(maxsize=8192)(monk)
 
 
 def _trie_of(terms: Iterator[tuple[tuple[int, ...], int]]) -> tuple:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .perms import (Label, Perm, _as_int, _below, _covers_below, _json_int, _json_shape, _perm,
-                    _perm_pair, _sorted_edges, cover_partners, labeled_covers, labeled_edges,
+                    _perm_pair, _sorted_edges, cover_partners, labeled_edges,
                     longest, perm_from_str, perm_to_str)
 
 Composition = tuple[int, ...]
@@ -243,15 +243,16 @@ def chain_to_json_obj(chain: LabeledChain) -> dict:
 
 def chain_from_json_obj(obj: dict, end: Perm | None = None) -> LabeledChain:
     """
-    Rebuild a chain from its serialized form by searching for the walks that
-    realize the whole label sequence.  A single step can be ambiguous (three
-    covers of 1432 carry the label (1, 1)), but the full sequence usually
-    pins the walk down; passing the known endpoint narrows the search
-    further.  Raises ValueError when no walk fits or several still do.
+    Rebuild a chain by searching for the walks that realize the whole label
+    sequence, the label (k, b) leading from p to each cover p*(i,j) with
+    p(i) = b and i <= k < j.  One step can be ambiguous (three covers of 1432
+    carry (1, 1)), but the whole sequence usually pins the walk down, and end
+    narrows it further.  Raises ValueError when no walk fits or several do.
     """
     with _json_shape():
         start = perm_from_str(obj["start"])
         wanted = tuple((_json_int(k), _json_int(b)) for k, b in obj["steps"])
+    end = None if end is None else _perm(tuple(end))
 
     walks: list[tuple[Perm, ...]] = []
 
@@ -260,11 +261,13 @@ def chain_from_json_obj(obj: dict, end: Perm | None = None) -> LabeledChain:
             if end is None or p == end:
                 walks.append(tuple(acc))
             return
-        for lab, v in labeled_covers(p):
-            if lab == wanted[depth]:
-                acc.append(v)
-                extend(v, depth + 1, acc)
-                acc.pop()
+        k, b = wanted[depth]
+        if 0 < b <= len(p) and (i := p.index(b) + 1) <= k:
+            for j, v in cover_partners(p, i):
+                if j > k:
+                    acc.append(v)
+                    extend(v, depth + 1, acc)
+                    acc.pop()
 
     extend(start, 0, [start])
     if not walks:

@@ -97,6 +97,7 @@ def length(w: Sequence[int]) -> int:
     >>> length((2, 1, 5, 4, 6, 3))
     5
     """
+    w = _perm(tuple(w))
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 
 
@@ -105,6 +106,7 @@ def inverse(w: Perm) -> Perm:
     >>> inverse((2, 4, 1, 3))
     (3, 1, 4, 2)
     """
+    w = _perm(tuple(w))
     inv = [0] * len(w)
     for i, v in enumerate(w):
         inv[v - 1] = i + 1
@@ -118,8 +120,7 @@ def compose(u: Perm, v: Perm) -> Perm:
     >>> compose((4, 3, 2, 1), (2, 4, 1, 3))
     (3, 1, 4, 2)
     """
-    if len(u) != len(v):
-        raise ValueError("size mismatch")
+    u, v = _perm_pair(u, v)
     return tuple(u[v[i] - 1] for i in range(len(v)))
 
 
@@ -130,6 +131,7 @@ def code(w: Perm) -> tuple[int, ...]:
     >>> code((2, 4, 1, 3))
     (1, 2, 0, 0)
     """
+    w = _perm(tuple(w))
     n = len(w)
     return tuple(sum(1 for j in range(i + 1, n) if w[j] < w[i]) for i in range(n))
 
@@ -177,18 +179,18 @@ def cover_partners(u: Perm, i: int) -> list[tuple[int, Perm]]:
     return out
 
 
-def monk(w: Perm, i: int) -> list[tuple[Perm, int]]:
+def monk(w: Perm, i: int) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
     """
-    Monk's rule in H*(Fl_n) as (v, +1) and (v, -1) pairs: x_i * S_w is the
-    sum of S_{w*(i,j)} over the covers with j > i (:func:`cover_partners`)
-    minus that over the covers w -> w*(j,i), j < i, by decreasing j.
+    Monk's rule in H*(Fl_n) as (plus, minus): x_i * S_w is the sum of S_v over
+    plus, the covers w -> w*(i,j), j > i, by increasing j (:func:`cover_partners`),
+    minus that over minus, the covers w -> w*(j,i), j < i, by decreasing j.
     The cover swapping i and n + 1 leaves S_n: its S_v lies in <e_1..e_n>.
 
     >>> monk((1, 2, 3), 2)  # x_2 = S_132 - S_213
-    [((1, 3, 2), 1), ((2, 1, 3), -1)]
+    (((1, 3, 2),), ((2, 1, 3),))
     """
-    return ([(v, 1) for _, v in cover_partners(w, i)]
-            + [(v, -1) for j in range(i - 1, 0, -1) for k, v in cover_partners(w, j) if k == i])
+    return (tuple(v for _, v in cover_partners(w, i)),
+            tuple(v for j in range(i - 1, 0, -1) for k, v in cover_partners(w, j) if k == i))
 
 
 def bruhat_covers(u: Perm) -> list[tuple[Perm, tuple[int, int]]]:
@@ -196,24 +198,13 @@ def bruhat_covers(u: Perm) -> list[tuple[Perm, tuple[int, int]]]:
     All covers u -> w in the Bruhat order, each with the swapped position
     pair (i, j), in lexicographic order of (i, j).
     """
+    u = _perm(tuple(u))
     return [(w, (i, j)) for i in range(1, len(u)) for j, w in cover_partners(u, i)]
 
 
-def labeled_covers(u: Perm) -> list[tuple[Label, Perm]]:
-    """
-    Every labeled edge ((k, b), w) out of u, in sorted order (:func:`_sorted_edges`).
-    The cover u -> u*(i,j) carries the j - i labels (k, u(i)) with i <= k < j,
-    so a label can sit on several covers, which share i and so come by
-    decreasing j; from 1324 (1, 1) does:
-
-    >>> labeled_covers((1, 3, 2, 4))[:3]
-    [((1, 1), (2, 3, 1, 4)), ((1, 1), (3, 1, 2, 4)), ((2, 1), (2, 3, 1, 4))]
-    """
-    return _sorted_edges(u, [(i, j, v) for v, (i, j) in bruhat_covers(u)])
-
-
 def _sorted_edges(u: Perm, covers: list[tuple[int, int, Perm]]) -> list[tuple[Label, Perm]]:
-    """The edges ((k, u(i)), v), i <= k < j, of the covers (i, j, v) of u, sorted."""
+    """The edges ((k, u(i)), v), i <= k < j, of the covers (i, j, v) of u, sorted: a
+    label on several covers (from 1324, (1, 1)) comes once per cover, by decreasing j."""
     return sorted(((k, u[i - 1]), v) for i, j, v in covers for k in range(i, j))
 
 
@@ -227,8 +218,9 @@ def labeled_edges(u: Perm, w: Perm) -> list[Label]:
     >>> labeled_edges((4, 1, 3, 2), (4, 2, 3, 1))
     [(2, 1), (3, 1)]
     """
+    u, w = _perm_pair(u, w)
     moved = [p for p, (a, b) in enumerate(zip(u, w), 1) if a != b]
-    if len(moved) == 2 and (moved[1], tuple(w)) in cover_partners(u, moved[0]):
+    if len(moved) == 2 and (moved[1], w) in cover_partners(u, moved[0]):
         i, j = moved
         return [(k, u[i - 1]) for k in range(i, j)]
     raise ValueError(f"{u} -> {w} is not a cover")
@@ -348,6 +340,7 @@ def embed(w: Perm, m: int) -> Perm:
     >>> embed((1, 3, 2), 5)
     (1, 3, 2, 4, 5)
     """
+    w, m = _perm(tuple(w)), _as_int(m)
     if m < len(w):
         raise ValueError(f"cannot embed size {len(w)} into smaller size {m}")
     return w + tuple(range(len(w) + 1, m + 1))
@@ -386,6 +379,7 @@ def perm_to_str(w: Perm) -> str:
     >>> perm_to_str((2, 4, 1, 3))
     '2413'
     """
+    w = _perm(tuple(w))
     if len(w) <= 9:
         return "".join(str(v) for v in w)
     return ",".join(str(v) for v in w)

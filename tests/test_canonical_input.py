@@ -16,11 +16,20 @@ from schubert import (
     expand_in_schubert_basis,
     Poly,
     SchubertExpansion,
+    bruhat_covers,
     bruhat_leq,
+    chain_from_json_obj,
     chain_to_json_obj,
+    code,
+    compose,
+    embed,
     increasing_chains,
     increasing_chains_to_w0,
+    inverse,
+    labeled_edges,
+    length,
     lr_coefficients,
+    perm_to_str,
     pieri,
     poly_to_json_obj,
     schubert,
@@ -50,6 +59,16 @@ ENTRIES = {
     "increasing_chains": lambda u, w: list(increasing_chains(u, w)),
     "increasing_chains_to_w0": lambda u, w: list(increasing_chains_to_w0(u)),
     "type_counts": lambda u, w: type_counts(u, w),
+    "embed": lambda u, w: embed(u, 5),
+    "inverse": lambda u, w: inverse(u),
+    "compose": lambda u, w: compose(u, w),
+    "length": lambda u, w: length(u),
+    "code": lambda u, w: code(u),
+    "bruhat_covers": lambda u, w: bruhat_covers(u),
+    "labeled_edges": lambda u, w: labeled_edges(u, [u[1], u[0], *u[2:]]),  # 132 -> 312
+    "perm_to_str": lambda u, w: perm_to_str(u),
+    "chain_from_json_obj": lambda u, w: chain_from_json_obj(  # 123 -> 132
+        {"start": "123", "steps": [[2, 2]]}, end=u),
 }
 
 FORMS = {
@@ -153,6 +172,7 @@ def test_degrees_not_equal_to_an_int_raise(bad):
 # each entry called with the ambient size n alone varying
 SIZED = {
     "embed_all": lambda n: embed_all([U, W], n),
+    "embed": lambda n: embed(U, n),
     "schubert": lambda n: schubert(U, n),
     "skew": lambda n: skew(W, U, n),
     "skew_expansion": lambda n: skew_expansion(W, U, n),

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -258,6 +259,49 @@ def test_chain_json_ambiguity_detected():
     # the label (1, 2) requires value 2 at a position <= 1, impossible here
     with pytest.raises(ValueError, match="no chain"):
         chain_from_json_obj({"start": "1234", "steps": [[1, 2]]})
+
+
+def read_by_oracle(obj, end=None):
+    """
+    Read obj by brute force: extend every walk by each oracle edge that
+    carries the next label.  The chain, or the kind of error
+    chain_from_json_obj raises.
+    """
+    walks = [(tuple(map(int, obj["start"])),)]
+    for lab in map(tuple, obj["steps"]):
+        walks = [p + (v,) for p in walks for edge, v in labeled_covers_by_sort(p[-1]) if edge == lab]
+    walks = [p for p in walks if end is None or p[-1] == end]
+    if len(walks) == 1:
+        return LabeledChain(walks[0], tuple(map(tuple, obj["steps"])))
+    return f"fit {len(walks)} distinct chains" if walks else "no chain"
+
+
+def read(obj, end=None):
+    try:
+        return chain_from_json_obj(obj, end)
+    except ValueError as exc:
+        return re.search(r"no chain|fit \d+ distinct chains", str(exc)).group()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_chain_reader_matches_the_oracle_on_random_walks(n):
+    # labeled walks that need not increase, read with and without their end,
+    # then with one more label from a box that reaches past 1..n - 1 and 1..n
+    rng = random.Random(n)
+    for _ in range(200):
+        perms = [tuple(rng.sample(range(1, n + 1), n))]
+        labels = []
+        for _ in range(rng.randint(0, 5)):
+            if not (edges := labeled_covers_by_sort(perms[-1])):
+                break
+            lab, v = rng.choice(edges)
+            perms.append(v)
+            labels.append(list(lab))
+        extra = [rng.randint(-1, n), rng.randint(-1, n + 1)]
+        for steps in (labels, labels + [extra]):
+            obj = {"start": "".join(map(str, perms[0])), "steps": steps}
+            for end in (None, perms[-1]):
+                assert read(obj, end) == read_by_oracle(obj, end), (obj, end)
 
 
 def test_chain_json_round_trip_all_outputs_n4():
