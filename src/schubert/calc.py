@@ -60,7 +60,7 @@ class SchubertExpansion:
     def __post_init__(self):
         object.__setattr__(self, "n", _as_int(self.n))
         object.__setattr__(
-            self, "terms", {_perm(tuple(w)): c for w, c in self.terms.items() if c != 0}
+            self, "terms", {_perm(tuple(w)): c for w, v in self.terms.items() if (c := _as_int(v))}
         )
         for w in self.terms:
             if len(w) != self.n:
@@ -303,12 +303,8 @@ def _pieri_step(current: Mapping[Perm, int], a: int, i: int, n: int) -> Mapping[
     nxt: dict[Perm, int] = {}
     for w, c in current.items():
         for z, m in pieri(w, a, i, n).terms.items():
-            s = nxt.get(z, 0) + c * m
-            if s:
-                nxt[z] = s
-            elif z in nxt:
-                del nxt[z]
-    return nxt
+            nxt[z] = nxt.get(z, 0) + c * m
+    return {z: c for z, c in nxt.items() if c}
 
 
 def psi_alpha_normal_form(reduced: Poly, alpha: Sequence[int], n: int) -> int:

@@ -36,7 +36,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
-from .perms import (Label, Perm, _as_int, _below, _covers_below, _json_int, _json_shape, _perm,
+from .perms import (Label, Perm, _as_int, _below, _covers_below, _json_int, _json_shape, _perm_of,
                     _perm_pair, _sorted_edges, cover_partners, labeled_edges,
                     longest, perm_from_str, perm_to_str)
 
@@ -183,7 +183,7 @@ def increasing_chains_to_w0(w: Perm) -> Iterator[LabeledChain]:
     covers swapping the minimal position k with u(k) + k < n + 1, ordered by
     the partner position l.
     """
-    w = _perm(tuple(w))
+    w = _perm_of(w)
     n = len(w)
     w0 = longest(n)
 
@@ -252,7 +252,7 @@ def chain_from_json_obj(obj: dict, end: Perm | None = None) -> LabeledChain:
     with _json_shape():
         start = perm_from_str(obj["start"])
         wanted = tuple((_json_int(k), _json_int(b)) for k, b in obj["steps"])
-    end = None if end is None else _perm(tuple(end))
+    end = None if end is None else _perm_of(end)
 
     walks: list[tuple[Perm, ...]] = []
 

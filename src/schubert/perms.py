@@ -37,6 +37,15 @@ def _perm(w: tuple) -> Perm:
     return as_perm(w)
 
 
+def _perm_of(w: Sequence[int]) -> Perm:
+    """:func:`_perm` of tuple(w).  An unhashable entry, which _perm cannot key,
+    gets the ValueError of as_perm, uncached."""
+    try:
+        return _perm(tuple(w))
+    except TypeError:
+        return as_perm(w)
+
+
 def _as_int(x) -> int:
     """x read like an entry of as_perm: a value equal to an int (1.0, True) is that int."""
     if type(x) is int:
@@ -97,7 +106,7 @@ def length(w: Sequence[int]) -> int:
     >>> length((2, 1, 5, 4, 6, 3))
     5
     """
-    w = _perm(tuple(w))
+    w = _perm_of(w)
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 
 
@@ -106,7 +115,7 @@ def inverse(w: Perm) -> Perm:
     >>> inverse((2, 4, 1, 3))
     (3, 1, 4, 2)
     """
-    w = _perm(tuple(w))
+    w = _perm_of(w)
     inv = [0] * len(w)
     for i, v in enumerate(w):
         inv[v - 1] = i + 1
@@ -131,7 +140,7 @@ def code(w: Perm) -> tuple[int, ...]:
     >>> code((2, 4, 1, 3))
     (1, 2, 0, 0)
     """
-    w = _perm(tuple(w))
+    w = _perm_of(w)
     n = len(w)
     return tuple(sum(1 for j in range(i + 1, n) if w[j] < w[i]) for i in range(n))
 
@@ -144,9 +153,8 @@ def perm_from_code(c: Sequence[int], n: int | None = None) -> Perm:
     >>> perm_from_code((1, 2, 0, 0))
     (2, 4, 1, 3)
     """
-    c = tuple(c)
-    if n is None:
-        n = len(c)
+    c = tuple(map(_as_int, c))
+    n = len(c) if n is None else _as_int(n)
     if len(c) > n:
         raise ValueError("code longer than ambient size")
     c = c + (0,) * (n - len(c))
@@ -198,7 +206,7 @@ def bruhat_covers(u: Perm) -> list[tuple[Perm, tuple[int, int]]]:
     All covers u -> w in the Bruhat order, each with the swapped position
     pair (i, j), in lexicographic order of (i, j).
     """
-    u = _perm(tuple(u))
+    u = _perm_of(u)
     return [(w, (i, j)) for i in range(1, len(u)) for j, w in cover_partners(u, i)]
 
 
@@ -243,46 +251,35 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
 
 def _perm_pair(u: Sequence[int], w: Sequence[int]) -> tuple[Perm, Perm]:
     """u and w in canonical form (:func:`_perm`), checked to lie in one S_n."""
-    u, w = _perm(tuple(u)), _perm(tuple(w))
+    u, w = _perm_of(u), _perm_of(w)
     if len(u) != len(w):
         raise ValueError("size mismatch")
     return u, w
-
-
-def _rank_width(n: int) -> int:
-    """Bits per rank field: a count up to n - 1 and a guard bit above it."""
-    return (n - 1).bit_length() + 1
 
 
 @lru_cache(maxsize=8192)
 def _ranks(w: Perm) -> int:
     """
     The counts r_w(k, i) for 1 <= k < n and 2 <= i <= n (the others do not
-    depend on w), one per field of :func:`_rank_width` bits with the top bit
-    clear.
+    depend on w), packed as :func:`_swap_tables` lays them out.  The value
+    w(a) adds one to r(k, i) for a <= k < n and 2 <= i <= w(a), the rectangle
+    rows[a][n] * cols[1][w(a)].
     """
     n = len(w)
-    b = _rank_width(n)
-    above = [0] * (n + 1)  # above[i] = r_w(k, i) for the prefix read so far
-    r = 0
-    for v in w[:-1]:
-        for i in range(2, v + 1):
-            above[i] += 1
-        for count in above[2:]:
-            r = (r << b) | count
-    return r
+    _, rows, cols = _swap_tables(n)
+    return sum(rows[a][n] * cols[1][v] for a, v in enumerate(w, 1))
 
 
 @lru_cache(maxsize=16)
 def _swap_tables(n: int) -> tuple[int, list[list[int]], list[list[int]]]:
     """
-    (guard, rows, cols) for S_n.  guard sets the top bit of every field of
-    :func:`_ranks`.  Swapping the values a < b at positions i < j raises
-    r(k, c) by one exactly for i <= k < j and a < c <= b, so it adds
-    rows[i][j] * cols[a][b] to the ranks: field (k, c) sits
-    (n - 1)(n - 1 - k) + n - c fields up.
+    (guard, rows, cols) for S_n.  The counts r(k, c) of :func:`_ranks` sit in
+    fields of a count up to n - 1 and a guard bit above it, field (k, c)
+    (n - 1)(n - 1 - k) + n - c fields up, and guard sets every guard bit.
+    Swapping the values a < b at positions i < j raises r(k, c) by one exactly
+    for i <= k < j and a < c <= b, so it adds rows[i][j] * cols[a][b] to the ranks.
     """
-    width = _rank_width(n)
+    width = (n - 1).bit_length() + 1
     guard = sum(1 << (width * f + width - 1) for f in range((n - 1) ** 2))
     rows = [[sum(1 << width * (n - 1) * (n - 1 - k) for k in range(i, j)) for j in range(n + 1)]
             for i in range(n + 1)]
@@ -340,7 +337,7 @@ def embed(w: Perm, m: int) -> Perm:
     >>> embed((1, 3, 2), 5)
     (1, 3, 2, 4, 5)
     """
-    w, m = _perm(tuple(w)), _as_int(m)
+    w, m = _perm_of(w), _as_int(m)
     if m < len(w):
         raise ValueError(f"cannot embed size {len(w)} into smaller size {m}")
     return w + tuple(range(len(w) + 1, m + 1))
@@ -361,15 +358,15 @@ def embed_all(
     """
     try:
         perms = [_perm(tuple(w)) for w in ws]
-    except TypeError:  # an unhashable entry: as_perm raises, uncached
-        perms = [as_perm(w) for w in ws]
+    except TypeError:  # an unhashable entry, which _perm_of turns into ValueError
+        perms = [_perm_of(w) for w in ws]
     n = max(len(w) for w in perms) if n is None else _as_int(n)
     return [w if len(w) == n else embed(w, n) for w in perms], n
 
 
 def all_perms(n: int) -> Iterator[Perm]:
     """All of S_n in lexicographic order."""
-    return _itertools_permutations(range(1, n + 1))
+    return _itertools_permutations(range(1, _as_int(n) + 1))
 
 
 def perm_to_str(w: Perm) -> str:
@@ -379,7 +376,7 @@ def perm_to_str(w: Perm) -> str:
     >>> perm_to_str((2, 4, 1, 3))
     '2413'
     """
-    w = _perm(tuple(w))
+    w = _perm_of(w)
     if len(w) <= 9:
         return "".join(str(v) for v in w)
     return ",".join(str(v) for v in w)

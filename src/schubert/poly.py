@@ -51,7 +51,7 @@ def monomial_key(exps: Exponents, nvars: int) -> tuple[int, ...]:
 
 def staircase_exponent(n: int) -> Exponents:
     """delta = (n-1, n-2, ..., 1, 0), trimmed."""
-    return trim(range(n - 1, -1, -1))
+    return trim(range(_as_int(n) - 1, -1, -1))
 
 
 def divides_staircase(exps: Exponents, n: int) -> bool:
@@ -72,15 +72,10 @@ class Poly:
         canon: dict[Exponents, int] = {}
         if terms:
             for exps, coef in terms.items():
-                if coef == 0:
-                    continue
-                m = trim(exps)
-                c = canon.get(m, 0) + coef
-                if c:
-                    canon[m] = c
-                elif m in canon:
-                    del canon[m]
-        self._terms = canon
+                if coef := _as_int(coef):  # zero: its exponents are not read
+                    m = trim(exps)
+                    canon[m] = canon.get(m, 0) + coef
+        self._terms = {m: c for m, c in canon.items() if c}
 
     @classmethod
     def _of(cls, terms: dict[Exponents, int]) -> "Poly":
@@ -161,12 +156,8 @@ class Poly:
         other = _coerce(other)
         res = dict(self._terms)
         for m, c in other._terms.items():
-            s = res.get(m, 0) + c
-            if s:
-                res[m] = s
-            elif m in res:
-                del res[m]
-        return Poly._of(res)
+            res[m] = res.get(m, 0) + c
+        return Poly._of({m: c for m, c in res.items() if c})
 
     __radd__ = __add__
 
@@ -187,12 +178,8 @@ class Poly:
                 # a sum of trimmed nonnegative monomials is trimmed
                 a, b = (m1, m2) if len(m1) >= len(m2) else (m2, m1)
                 m = tuple(x + y for x, y in zip(a, b)) + a[len(b):]
-                s = res.get(m, 0) + c1 * c2
-                if s:
-                    res[m] = s
-                elif m in res:
-                    del res[m]
-        return Poly._of(res)
+                res[m] = res.get(m, 0) + c1 * c2
+        return Poly._of({m: c for m, c in res.items() if c})
 
     __rmul__ = __mul__
 
@@ -332,13 +319,9 @@ def normal_form(p: Poly, n: int) -> Poly:
                     r = tuple(map(add, m, t))
                     old = work.get(r)
                     if old is None:
-                        work[r] = -c
                         level.setdefault(r[i], []).append(r)
-                    elif old == c:
-                        del work[r]
-                    else:
-                        work[r] = old - c
-    return Poly._of({trim(m): c for m, c in work.items()})
+                    work[r] = (old or 0) - c
+    return Poly._of({trim(m): c for m, c in work.items() if c})
 
 
 # --- serialization ---------------------------------------------------------

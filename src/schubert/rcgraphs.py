@@ -22,11 +22,12 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .chains import LabeledChain, cell_type, check_chain, increasing_chains_to_w0
-from .perms import Label, Perm, _json_int, _json_shape, length, longest
+from .perms import Label, Perm, _as_int, _json_int, _json_shape, length, longest
 
 
 def staircase(n: int) -> frozenset[Label]:
     """All cells (k, b) with k, b >= 1 and k + b <= n."""
+    n = _as_int(n)
     return frozenset(
         (k, b) for k in range(1, n) for b in range(1, n - k + 1)
     )
@@ -45,6 +46,7 @@ class RcGraph:
     crossings: frozenset[Label] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_int(self.n))
         object.__setattr__(self, "crossings", frozenset(self.crossings))
         for k, b in self.crossings:
             if k < 1 or b < 1 or k + b > self.n:

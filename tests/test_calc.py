@@ -366,6 +366,14 @@ def test_pieri_trivial():
     assert e.terms == {(2, 4, 1, 3): 1}
 
 
+def test_pieri_rejects_a_negative_degree_and_a_row_outside_1_to_n_minus_1():
+    with pytest.raises(ValueError, match="nonnegative"):
+        pieri((2, 4, 1, 3), -1, 2, 4)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="1 <= k < n"):
+            pieri((2, 4, 1, 3), 1, k, 4)
+
+
 def test_psi_alpha_trivial():
     f = SchubertExpansion(3, {longest(3): 1})
     assert psi_alpha(f, (0, 0), 3) == 1

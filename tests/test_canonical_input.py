@@ -2,9 +2,9 @@
 Every public entry that takes a permutation reads it through perms._perm:
 a list, floats or bools give the same result as the tuple of ints, with
 Python ints in every tuple it returns and in its JSON, and a sequence that
-is not a permutation raises ValueError.  Degrees, composition parts and the
-ambient size n are read the same way: 1.0 and True are 1, and 0.5 or "1"
-raises ValueError.
+is not a permutation, or has an unhashable entry, raises ValueError.
+Degrees, composition parts, code entries, coefficients and the ambient size
+n are read the same way: 1.0 and True are 1, and 0.5 or "1" raises ValueError.
 """
 
 import json
@@ -39,8 +39,10 @@ from schubert import (
 )
 from schubert.calc import psi_alpha, psi_alpha_normal_form
 from schubert.chains import padded_type, type_counts
-from schubert.perms import embed_all, identity, longest
-from schubert.poly import check_composition, complete_h, elementary, h_alpha, normal_form
+from schubert.perms import all_perms, embed_all, identity, longest, perm_from_code
+from schubert.poly import (check_composition, complete_h, elementary, h_alpha, normal_form,
+                           staircase_exponent)
+from schubert.rcgraphs import RcGraph, rcgraph_to_json_obj, render_ascii, staircase
 from schubert.verify import run_suite
 
 U, W = (1, 3, 2), (3, 2, 1)  # U <= W
@@ -113,7 +115,9 @@ def test_entries_return_canonical_int_tuples(entry, form):
     assert all(type(a) is int for t in tuples_in(got) for a in t
                if not isinstance(a, (tuple, list)))
     assert json.dumps(json_of(got)) == json.dumps(json_of(expected))
-    for bad in ((2, 2), (1, 1)):
+    # a list entry makes the input unhashable, except where the test builds a dict key of it
+    unhashable = [] if entry == "SchubertExpansion" else [(1, [2], 3)]
+    for bad in [(2, 2), (1, 1)] + unhashable:
         for w in (W, (2, 1)):
             with pytest.raises(ValueError):
                 call(bad, w)
@@ -141,6 +145,12 @@ def test_degrees_equal_to_ints_are_those_ints():
     assert verify_corollary(U, W, (1.0, 0)) == verify_corollary(U, W, (True, 0.0))
     assert complete_h(1.0, 2) == complete_h(True, 2.0) == complete_h(1, 2)
     assert elementary(1.0, 2) == elementary(True, 2.0) == elementary(1, 2)
+    assert perm_from_code((1.0, 0)) == perm_from_code((True, 0.0)) == (2, 1)
+    p = Poly({(1,): 2.0, (0, 1): True})
+    assert p == Poly({(1,): 2, (0, 1): 1}) and all(type(c) is int for _, c in p.items())
+    assert repr(p * p) == repr(Poly({(1,): 2, (0, 1): 1}) ** 2)
+    e = SchubertExpansion(3, {(1, 2, 3): 2.0, (1, 3, 2): True})
+    assert e.terms == {(1, 2, 3): 2, (1, 3, 2): 1} and all(type(c) is int for _, c in e)
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.5, "1", None, float("nan"), float("inf"), [1]])
@@ -167,6 +177,12 @@ def test_degrees_not_equal_to_an_int_raise(bad):
             call(bad, 2)
         with pytest.raises(ValueError):
             call(1, bad)
+    with pytest.raises(ValueError):
+        perm_from_code((bad, 0))
+    with pytest.raises(ValueError):  # a coefficient
+        Poly({(1,): bad})
+    with pytest.raises(ValueError):
+        SchubertExpansion(3, {(1, 2, 3): bad})
 
 
 # each entry called with the ambient size n alone varying
@@ -187,6 +203,12 @@ SIZED = {
     "SchubertExpansion": lambda n: (SchubertExpansion(n, {(1, 3, 2, 4): 1}),
                                     SchubertExpansion(n, {(1, 3, 2, 4): 1}).as_poly()),
     "run_suite": lambda n: run_suite("routes", n),
+    "staircase": staircase,
+    "RcGraph": lambda n: rcgraph_to_json_obj(RcGraph(n, {(1, 2)})),
+    "render_ascii": lambda n: render_ascii(RcGraph(n, {(1, 2)})),
+    "staircase_exponent": staircase_exponent,
+    "all_perms": lambda n: list(all_perms(n)),
+    "perm_from_code": lambda n: perm_from_code((1, 0), n),
 }
 
 

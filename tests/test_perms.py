@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubert.perms import (
     _covers_below,
     _perm,
+    _ranks,
     _sorted_edges,
     all_perms,
     as_perm,
@@ -70,6 +73,8 @@ def test_perm_from_code_examples():
     assert perm_from_code((3, 2, 1, 0)) == (4, 3, 2, 1)
     with pytest.raises(ValueError):
         perm_from_code((4, 0, 0, 0))
+    with pytest.raises(ValueError, match="longer"):
+        perm_from_code((0, 0, 0), 2)
 
 
 @given(small_perms)
@@ -194,6 +199,27 @@ def test_bruhat_leq_matches_sorted_prefixes(pair):
     assert bruhat_leq(u, longest(len(u)))
     for v, _ in bruhat_covers(u):
         assert bruhat_leq(u, v) and not bruhat_leq(v, u)
+
+
+def rank_perms(n):
+    """All of S_n up to n = 6, and 200 seeded random permutations of S_7..S_12."""
+    if n <= 6:
+        return list(all_perms(n))
+    rng = random.Random(n)
+    return [tuple(rng.sample(range(1, n + 1), n)) for _ in range(200)]
+
+
+# the fields widen from 4 to 5 bits at n = 9
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rank_fields_are_the_rank_counts(n):
+    width = (n - 1).bit_length() + 1  # a count up to n - 1 and a guard bit above it
+    for w in rank_perms(n):
+        r = _ranks.__wrapped__(w)  # uncached: the test leaves the bounded cache as it was
+        for k in range(1, n):
+            for i in range(2, n + 1):
+                field = r >> width * ((n - 1) * (n - 1 - k) + n - i) & ((1 << width) - 1)
+                assert field == sum(1 for a in range(k) if w[a] >= i), (w, k, i)
+        assert r >> width * (n - 1) ** 2 == 0, w
 
 
 def covers_below_by_oracle(p, w):

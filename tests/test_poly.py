@@ -92,6 +92,8 @@ def test_complete_h():
     assert complete_h(0, 3) == Poly.one()
     # C(a + k - 1, a) monomials
     assert len(complete_h(3, 3)) == 10
+    with pytest.raises(ValueError, match="a >= 0"):
+        complete_h(-1, 2)
 
 
 def test_h_alpha():
@@ -123,6 +125,8 @@ def test_normal_form_forced_values():
     assert normal_form(Poly.variable(2), 2) == -x1
     assert normal_form(x1 ** 2, 2) == Poly.zero()
     assert normal_form(Poly.one(), 5) == Poly.one()
+    with pytest.raises(ValueError, match="more than 1 variables"):
+        normal_form(x2, 1)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -208,6 +212,8 @@ def test_text_round_trip():
     for text in ("", "   ", "\n"):  # zero is written 0
         with pytest.raises(ValueError, match="malformed polynomial text"):
             poly_from_text(text)
+    with pytest.raises(ValueError, match="malformed term"):
+        poly_from_text("x1 - - x2")
     q = -3 * x1 + x2 ** 4 - 1
     assert poly_from_text(poly_to_text(q)) == q
     assert poly_to_text(Poly.constant(7)) == "7"
@@ -218,6 +224,8 @@ def test_text_rejects_x0():
     for text in ("x0", "x0^3", "3*x0", "x1 + x0*x2"):
         with pytest.raises(ValueError, match="1-indexed"):
             poly_from_text(text)
+    with pytest.raises(ValueError, match="1-indexed"):
+        Poly.variable(0)
 
 
 @given(small_polys)
