@@ -59,12 +59,14 @@ class SchubertExpansion:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _as_int(self.n))
-        object.__setattr__(
-            self, "terms", {_perm(tuple(w)): c for w, v in self.terms.items() if (c := _as_int(v))}
-        )
-        for w in self.terms:
-            if len(w) != self.n:
-                raise ValueError(f"{w} does not lie in S_{self.n}")
+        terms: dict[Perm, int] = {}
+        for w, c in self.terms.items():
+            if c := _as_int(c):  # zero: its key is not read
+                w = _perm(tuple(w))
+                if len(w) != self.n:
+                    raise ValueError(f"{w} does not lie in S_{self.n}")
+                terms[w] = terms.get(w, 0) + c
+        object.__setattr__(self, "terms", {w: c for w, c in terms.items() if c})
 
     @classmethod
     def _of(cls, n: int, terms: dict[Perm, int]) -> "SchubertExpansion":
@@ -268,21 +270,7 @@ def pieri(u: Sequence[int], a: int, k: int, n: int | None = None) -> SchubertExp
         raise ValueError("degree must be nonnegative")
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}")
-    counts: dict[Perm, int] = {}
-
-    def walk(p: Perm, steps: int, last_b: int) -> None:
-        if steps == a:
-            counts[p] = counts.get(p, 0) + 1
-            return
-        for i in range(1, k + 1):
-            b = p[i - 1]
-            if b > last_b:
-                for j, v in cover_partners(p, i):
-                    if j > k:
-                        walk(v, steps + 1, b)
-
-    walk(u, 0, 0)
-    return SchubertExpansion._of(n, counts)
+    return SchubertExpansion._of(n, _pieri_step({u: 1}, a, k))
 
 
 def psi_alpha(f: SchubertExpansion, alpha: Sequence[int], n: int) -> int:
@@ -292,19 +280,31 @@ def psi_alpha(f: SchubertExpansion, alpha: Sequence[int], n: int) -> int:
     """
     current: Mapping[Perm, int] = f.terms
     for i, a in enumerate(check_composition(alpha, n), start=1):
-        current = _pieri_step(current, a, i, n)
+        current = _pieri_step(current, a, i)
     return current.get(longest(n), 0)
 
 
-def _pieri_step(current: Mapping[Perm, int], a: int, i: int, n: int) -> Mapping[Perm, int]:
-    """The terms of current * h_a(x_1, ..., x_i), by the Pieri rule on each S_w."""
-    if a == 0:
-        return current
-    nxt: dict[Perm, int] = {}
+def _pieri_step(current: Mapping[Perm, int], a: int, k: int) -> dict[Perm, int]:
+    """
+    The terms of current * h_a(x_1, ..., x_k) by the Pieri rule (:func:`pieri`):
+    one depth-first walk of the chains from each S_w, each end counted c_w times.
+    """
+    out: dict[Perm, int] = {}
+
+    def walk(p: Perm, steps: int, last_b: int, c: int) -> None:
+        if steps == a:
+            out[p] = out.get(p, 0) + c
+            return
+        for i in range(1, k + 1):
+            b = p[i - 1]
+            if b > last_b:
+                for j, v in cover_partners(p, i):
+                    if j > k:
+                        walk(v, steps + 1, b, c)
+
     for w, c in current.items():
-        for z, m in pieri(w, a, i, n).terms.items():
-            nxt[z] = nxt.get(z, 0) + c * m
-    return {z: c for z, c in nxt.items() if c}
+        walk(w, 0, 0, c)
+    return {w: c for w, c in out.items() if c}
 
 
 def psi_alpha_normal_form(reduced: Poly, alpha: Sequence[int], n: int) -> int:

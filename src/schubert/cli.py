@@ -35,18 +35,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, help_: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_, parents=[common])
+    def add_parser(name: str, help_: str, n: int | None = None) -> argparse.ArgumentParser:
+        # --n stays off the shared parent, whose actions every subparser would share
+        p = sub.add_parser(name, help=help_, parents=[common])
+        p.add_argument("--n", type=int, default=n)
+        return p
 
     p = add_parser("schubert", "Schubert polynomial of a permutation")
     p.add_argument("perm")
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--method", choices=("chain", "rcgraph"), default="chain")
 
     p = add_parser("skew", "skew Schubert polynomial of w over u")
     p.add_argument("w")
     p.add_argument("u")
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--method", choices=("normalform", "chains", "lr"),
                    default="normalform")
     p.add_argument("--expand", action="store_true",
@@ -56,26 +57,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("lr", "Littlewood-Richardson coefficients of S_u * S_v")
     p.add_argument("u", nargs="?")
     p.add_argument("v", nargs="?")
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--all", action="store_true",
                    help="every ordered pair u, v of S_n (needs --n) instead of one")
 
     p = add_parser("rcgraphs", "enumerate the rc-graphs of w")
     p.add_argument("w")
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--render", choices=("json", "ascii"), default=None,
                    help="per-graph rendering (default follows --format)")
 
     p = add_parser("chains", "enumerate increasing chains from u to w")
     p.add_argument("u")
     p.add_argument("w")
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--type", dest="type_", default=None,
                    help="keep only chains of this type, e.g. 1,2,0")
 
-    p = add_parser("verify", "run self-verification suites")
+    p = add_parser("verify", "run self-verification suites", n=4)
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    p.add_argument("--n", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -121,11 +118,8 @@ def _lr_pairs(args: argparse.Namespace) -> tuple[Iterable[tuple[Perm, Perm]], in
         return [(u, v)], n
     if args.u is not None or args.n is None:
         raise ValueError("lr --all takes no permutations and needs --n")
-    n = args.n
-    if n < 1:
-        raise ValueError("--n must be at least 1")
     # lr_coefficients itself returns at once on the products that vanish
-    return ((u, v) for u in all_perms(n) for v in all_perms(n)), n
+    return ((u, v) for u in all_perms(args.n) for v in all_perms(args.n)), args.n
 
 
 def cmd_lr(args: argparse.Namespace) -> int:
@@ -177,8 +171,6 @@ def cmd_chains(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be at least 1")
     suites = SUITES if args.suite == "all" else (args.suite,)
     all_ok = True
     for suite in suites:
@@ -211,6 +203,8 @@ def main(argv: Iterable[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
     try:
+        if args.n is not None and args.n < 1:
+            raise ValueError("--n must be at least 1")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

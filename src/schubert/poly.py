@@ -56,6 +56,7 @@ def staircase_exponent(n: int) -> Exponents:
 
 def divides_staircase(exps: Exponents, n: int) -> bool:
     """True iff the monomial divides x^delta, i.e. exp_i <= n - i."""
+    n = _as_int(n)
     return len(exps) <= n and all(a <= n - i - 1 for i, a in enumerate(exps))
 
 
@@ -184,7 +185,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
-        if not isinstance(k, int) or k < 0:
+        if (k := _as_int(k)) < 0:
             raise ValueError("exponent must be a nonnegative integer")
         out = Poly.one()
         base = self
@@ -207,18 +208,17 @@ def _coerce(x: "Poly | int") -> Poly:
     raise TypeError(f"cannot coerce {type(x).__name__} to Poly")
 
 
+def _monomial_sum(combos: Iterable[tuple[int, ...]]) -> Poly:
+    """The sum of x_(c_1 + 1) ... x_(c_d + 1) over distinct nondecreasing index tuples c."""
+    return Poly._of({tuple(map(c.count, range(max(c, default=-1) + 1))): 1 for c in combos})
+
+
 def elementary(i: int, n: int) -> Poly:
     """The elementary symmetric polynomial e_i(x_1, ..., x_n)."""
     i, n = _as_int(i), _as_int(n)
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    terms: dict[Exponents, int] = {}
-    for combo in combinations(range(n), i):
-        e = [0] * (combo[-1] + 1)
-        for j in combo:
-            e[j] = 1
-        terms[tuple(e)] = 1
-    return Poly(terms)
+    return _monomial_sum(combinations(range(n), i))
 
 
 def complete_h(a: int, k: int) -> Poly:
@@ -226,13 +226,7 @@ def complete_h(a: int, k: int) -> Poly:
     a, k = _as_int(a), _as_int(k)
     if a < 0 or k < 1:
         raise ValueError(f"need a >= 0 and k >= 1, got a={a}, k={k}")
-    terms: dict[Exponents, int] = {}
-    for combo in combinations_with_replacement(range(k), a):
-        e = [0] * k
-        for j in combo:
-            e[j] += 1
-        terms[trim(e)] = 1
-    return Poly(terms)
+    return _monomial_sum(combinations_with_replacement(range(k), a))
 
 
 def check_composition(alpha: Iterable[int], n: int) -> tuple[int, ...]:
@@ -273,10 +267,10 @@ def h_alpha(alpha: Iterable[int], n: int) -> Poly:
 @lru_cache(maxsize=16)
 def _reduction_basis(n: int) -> tuple[tuple[int, int, tuple[Exponents, ...]], ...]:
     """
-    For i = n..1 the rewrite x_i^d == -(h_d(x_1..x_i) minus its lead term),
-    d = n - i + 1, as (i - 1, d, steps): the steps are the exponent differences
-    s - x_i^d, over n variables, of the tail monomials s.  The lead terms are
-    coprime pure powers, so the basis is Groebner and the remainders are the
+    The Groebner basis h_d(x_1..x_i), d = n - i + 1, of <e_1, ..., e_n>, for
+    i = n..1, as rewrites x_i^d == -(the tail of :func:`complete_h` after x_i^d):
+    each is (i - 1, d, steps), the steps s - x_i^d over n variables, s in the
+    tail.  The leads are coprime pure powers, so the remainders are the
     monomials dividing x^delta.
 
     >>> _reduction_basis(2)  # x2 == -x1; x1^2 == 0
@@ -285,8 +279,8 @@ def _reduction_basis(n: int) -> tuple[tuple[int, int, tuple[Exponents, ...]], ..
     rules = []
     for i in range(n, 0, -1):
         d = n - i + 1
-        steps = (tuple(tail.count(j) - d * (j == i - 1) for j in range(n))
-                 for tail in combinations_with_replacement(range(i), d))
+        steps = (tuple(e - d * (j == i - 1) for j, e in enumerate(m + (0,) * (n - len(m))))
+                 for m, _ in complete_h(d, i).items())
         rules.append((i - 1, d, tuple(t for t in steps if any(t))))
     return tuple(rules)  # cached and shared, so immutable
 
@@ -389,7 +383,7 @@ def poly_to_json_obj(p: Poly, nvars: int | None = None) -> list[dict]:
     JSON form: [{"exp": [a1, ..., an], "coef": c}, ...], pinned order, each
     exp padded to nvars entries (default p.nvars(), and never fewer).
     """
-    n = nvars if nvars is not None else p.nvars()
+    n = _as_int(nvars) if nvars is not None else p.nvars()
     if n < p.nvars():
         raise ValueError(f"polynomial uses more than {n} variables")
     return [{"exp": list(m) + [0] * (n - len(m)), "coef": c} for m, c in p.sorted_terms()]

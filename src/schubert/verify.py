@@ -160,7 +160,7 @@ def suite_pieri(rep: Report) -> None:
         # 0 <= alpha_i <= n - i, which stay in lexicographic order
         terms_of = {(): f.terms}
         for i in range(1, n):
-            terms_of = {alpha + (a,): _pieri_step(terms, a, i, n)
+            terms_of = {alpha + (a,): _pieri_step(terms, a, i)
                         for alpha, terms in terms_of.items() for a in range(n - i + 1)}
         for alpha, terms in terms_of.items():
             lhs = terms.get(w0, 0)

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from itertools import product
 
@@ -39,9 +41,11 @@ from schubert.perms import (
     length,
     longest,
     monk,
+    perm_to_str,
 )
 from schubert.poly import (
     Poly,
+    complete_h,
     monomial_key,
     normal_form,
     poly_from_text,
@@ -372,6 +376,41 @@ def test_pieri_rejects_a_negative_degree_and_a_row_outside_1_to_n_minus_1():
     for k in (0, 4):
         with pytest.raises(ValueError, match="1 <= k < n"):
             pieri((2, 4, 1, 3), 1, k, 4)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pieri_step_multiplies_signed_expansions(n):
+    # against the polynomial route, on seeded expansions whose terms share a
+    # length, so that their chains meet and some ends cancel
+    rng = random.Random(n)
+    perms = list(all_perms(n))
+    cancelled = 0
+    for _ in range(12):
+        ell = rng.randrange(1, n * (n - 1) // 2)
+        level = [w for w in perms if length(w) == ell]
+        terms = rng.sample(level, min(4, len(level)))
+        f = SchubertExpansion(n, {w: rng.choice((-2, -1, 1, 2)) for w in terms})
+        p = f.as_poly()
+        for k in range(1, n):
+            for a in range(n):
+                got = calc._pieri_step(f.terms, a, k)
+                assert got == expand_in_schubert_basis(normal_form(p * complete_h(a, k), n), n).terms
+                ends = Counter(z for w in f.terms for z in pieri(w, a, k, n).terms)
+                cancelled += sum(z not in got for z in ends)
+    assert cancelled
+
+
+def test_pieri_table_of_s2_to_s6_is_pinned():
+    lines = []
+    for n in range(2, 7):
+        for u in all_perms(n):
+            for k in range(1, n):
+                for a in range(n):
+                    terms = " ".join(f"{w}:{c}" for w, c in pieri(u, a, k, n).to_json_obj().items())
+                    lines.append(f"{perm_to_str(u)} {a} {k} {terms}\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        24328, "a8fbbc2309ab6f6d90548603794f33632b4f0418a903cae949fa7903d7e05c03")
 
 
 def test_psi_alpha_trivial():

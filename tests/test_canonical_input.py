@@ -40,8 +40,8 @@ from schubert import (
 from schubert.calc import psi_alpha, psi_alpha_normal_form
 from schubert.chains import padded_type, type_counts
 from schubert.perms import all_perms, embed_all, identity, longest, perm_from_code
-from schubert.poly import (check_composition, complete_h, elementary, h_alpha, normal_form,
-                           staircase_exponent)
+from schubert.poly import (check_composition, complete_h, divides_staircase, elementary, h_alpha,
+                           normal_form, staircase_exponent)
 from schubert.rcgraphs import RcGraph, rcgraph_to_json_obj, render_ascii, staircase
 from schubert.verify import run_suite
 
@@ -151,6 +151,11 @@ def test_degrees_equal_to_ints_are_those_ints():
     assert repr(p * p) == repr(Poly({(1,): 2, (0, 1): 1}) ** 2)
     e = SchubertExpansion(3, {(1, 2, 3): 2.0, (1, 3, 2): True})
     assert e.terms == {(1, 2, 3): 2, (1, 3, 2): 1} and all(type(c) is int for _, c in e)
+    # keys that read as one permutation add, as the monomials of a Poly do
+    assert SchubertExpansion(3, {(1, 2, 3): 1, range(1, 4): 1}).terms == {(1, 2, 3): 2}
+    assert SchubertExpansion(3, {(1, 2, 3): 1, range(1, 4): -1}).terms == {}
+    x = Poly.variable(1)
+    assert x ** 2.0 == x ** 2 and x ** True == x
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.5, "1", None, float("nan"), float("inf"), [1]])
@@ -183,6 +188,8 @@ def test_degrees_not_equal_to_an_int_raise(bad):
         Poly({(1,): bad})
     with pytest.raises(ValueError):
         SchubertExpansion(3, {(1, 2, 3): bad})
+    with pytest.raises(ValueError):
+        Poly.variable(1) ** bad
 
 
 # each entry called with the ambient size n alone varying
@@ -209,6 +216,8 @@ SIZED = {
     "staircase_exponent": staircase_exponent,
     "all_perms": lambda n: list(all_perms(n)),
     "perm_from_code": lambda n: perm_from_code((1, 0), n),
+    "poly_to_json_obj": lambda n: poly_to_json_obj(Poly.variable(1), n),
+    "divides_staircase": lambda n: divides_staircase((1,), n),
 }
 
 

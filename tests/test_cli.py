@@ -298,6 +298,13 @@ def test_verify_rejects_n_below_one(capsys, n):
     assert err == "error: --n must be at least 1\n"
 
 
+@pytest.mark.parametrize("command", ["schubert 1324", "skew 321 132", "lr 12 21", "lr --all",
+                                     "rcgraphs 132", "chains 132 321", "verify"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_every_command_rejects_n_below_one(capsys, command, n):
+    assert run(capsys, *shlex.split(command), "--n", n) == (1, "", "error: --n must be at least 1\n")
+
+
 def test_verify_suite_that_raises_fails_and_later_suites_run(capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("boom")

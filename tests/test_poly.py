@@ -1,8 +1,11 @@
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import max_ordered_normal_form
 
+from schubert import poly
 from schubert.poly import (
     Poly,
     complete_h,
@@ -85,6 +88,10 @@ def test_elementary():
     assert elementary(3, 3) == x1 * x2 * x3
     with pytest.raises(ValueError):
         elementary(4, 3)
+    for n in range(1, 7):  # against every 0/1 exponent vector
+        for i in range(1, n + 1):
+            assert elementary(i, n) == Poly({e: 1 for e in product((0, 1), repeat=n)
+                                             if sum(e) == i})
 
 
 def test_complete_h():
@@ -94,6 +101,22 @@ def test_complete_h():
     assert len(complete_h(3, 3)) == 10
     with pytest.raises(ValueError, match="a >= 0"):
         complete_h(-1, 2)
+    for k in range(1, 6):  # against every exponent vector of degree a
+        for a in range(6):
+            assert complete_h(a, k) == Poly({e: 1 for e in product(range(a + 1), repeat=k)
+                                             if sum(e) == a})
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_reduction_basis_rewrites_each_lead_by_the_tail_of_h(n):
+    # x_i^d == -(h_d(x_1..x_i) - x_i^d), d = n - i + 1, as steps e - d*e_i
+    rules = poly._reduction_basis(n)
+    assert [(i, d) for i, d, _ in rules] == [(i - 1, n - i + 1) for i in range(n, 0, -1)]
+    for i, d, steps in rules:
+        lead = (0,) * i + (d,)
+        tails = {tuple(a - b for a, b in zip(e, lead)) + (0,) * (n - i - 1)
+                 for e in product(range(d + 1), repeat=i + 1) if sum(e) == d and e != lead}
+        assert len(steps) == len(tails) and set(steps) == tails
 
 
 def test_h_alpha():
