@@ -30,7 +30,7 @@ from typing import Iterator
 
 from .chains import (chain_monomial, increasing_chains_to_w0, padded_type, search_toward,
                      type_counts)
-from .perms import (Perm, _as_int, _below, _perm, bruhat_leq, compose, cover_partners,
+from .perms import (Perm, _as_int, _below, _perm_of, bruhat_leq, compose, cover_partners,
                     embed_all, identity, longest, monk, perm_to_str)
 from .poly import Poly, check_composition, divides_staircase, normal_form, trim
 from .rcgraphs import enumerate_rcgraphs, monomial as rc_monomial
@@ -62,9 +62,7 @@ class SchubertExpansion:
         terms: dict[Perm, int] = {}
         for w, c in self.terms.items():
             if c := _as_int(c):  # zero: its key is not read
-                w = _perm(tuple(w))
-                if len(w) != self.n:
-                    raise ValueError(f"{w} does not lie in S_{self.n}")
+                w = self._key(w)
                 terms[w] = terms.get(w, 0) + c
         object.__setattr__(self, "terms", {w: c for w, c in terms.items() if c})
 
@@ -79,8 +77,14 @@ class SchubertExpansion:
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.terms.items())))
 
-    def __getitem__(self, w: Perm) -> int:
-        return self.terms.get(tuple(w), 0)
+    def _key(self, w: Sequence[int]) -> Perm:
+        """w read as a permutation of S_n, as the constructor reads every key."""
+        if len(w := _perm_of(w)) != self.n:
+            raise ValueError(f"{w} does not lie in S_{self.n}")
+        return w
+
+    def __getitem__(self, w: Sequence[int]) -> int:
+        return self.terms.get(self._key(w), 0)
 
     def __iter__(self) -> Iterator[tuple[Perm, int]]:
         return iter(sorted(self.terms.items()))

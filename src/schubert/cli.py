@@ -1,14 +1,12 @@
 """
 Command line interface.  One subcommand per operation; results go to
-stdout, diagnostics to stderr.  Every command takes --format {text,json};
-the SCHUB_FORMAT environment variable sets the default.
+stdout, diagnostics to stderr.  Every command takes --format {text,json}.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Iterable, Sequence
 
@@ -25,8 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format",
         choices=("text", "json"),
-        default=os.environ.get("SCHUB_FORMAT", "text"),
-        help="output format (default from SCHUB_FORMAT, else text)",
+        default="text",
+        help="output format (default text)",
     )
     parser = argparse.ArgumentParser(
         prog="schub",
@@ -35,17 +33,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, help_: str, n: int | None = None) -> argparse.ArgumentParser:
+    def add_parser(name: str, help_: str, run, n: int | None = None) -> argparse.ArgumentParser:
         # --n stays off the shared parent, whose actions every subparser would share
         p = sub.add_parser(name, help=help_, parents=[common])
         p.add_argument("--n", type=int, default=n)
+        p.set_defaults(run=run)
         return p
 
-    p = add_parser("schubert", "Schubert polynomial of a permutation")
+    p = add_parser("schubert", "Schubert polynomial of a permutation", cmd_schubert)
     p.add_argument("perm")
     p.add_argument("--method", choices=("chain", "rcgraph"), default="chain")
 
-    p = add_parser("skew", "skew Schubert polynomial of w over u")
+    p = add_parser("skew", "skew Schubert polynomial of w over u", cmd_skew)
     p.add_argument("w")
     p.add_argument("u")
     p.add_argument("--method", choices=("normalform", "chains", "lr"),
@@ -54,24 +53,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the Schubert-basis expansion instead, always "
                         "as a JSON object")
 
-    p = add_parser("lr", "Littlewood-Richardson coefficients of S_u * S_v")
+    p = add_parser("lr", "Littlewood-Richardson coefficients of S_u * S_v", cmd_lr)
     p.add_argument("u", nargs="?")
     p.add_argument("v", nargs="?")
     p.add_argument("--all", action="store_true",
                    help="every ordered pair u, v of S_n (needs --n) instead of one")
 
-    p = add_parser("rcgraphs", "enumerate the rc-graphs of w")
+    p = add_parser("rcgraphs", "enumerate the rc-graphs of w", cmd_rcgraphs)
     p.add_argument("w")
     p.add_argument("--render", choices=("json", "ascii"), default=None,
                    help="per-graph rendering (default follows --format)")
 
-    p = add_parser("chains", "enumerate increasing chains from u to w")
+    p = add_parser("chains", "enumerate increasing chains from u to w", cmd_chains)
     p.add_argument("u")
     p.add_argument("w")
     p.add_argument("--type", dest="type_", default=None,
                    help="keep only chains of this type, e.g. 1,2,0")
 
-    p = add_parser("verify", "run self-verification suites", n=4)
+    p = add_parser("verify", "run self-verification suites", cmd_verify, n=4)
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--seed", type=int, default=0)
 
@@ -79,11 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(perms: Sequence[str], n: int | None) -> tuple[list[Perm], int]:
-    parsed = [perm_from_str(s) for s in perms]
-    size = max(len(p) for p in parsed)
-    if n is not None and n < size:
-        raise ValueError(f"--n {n} is smaller than the permutation size {size}")
-    return embed_all(parsed, n)
+    return embed_all([perm_from_str(s) for s in perms], n)
 
 
 def _print_poly(p: Poly, n: int, fmt: str) -> None:
@@ -189,23 +184,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-_COMMANDS = {
-    "schubert": cmd_schubert,
-    "skew": cmd_skew,
-    "lr": cmd_lr,
-    "rcgraphs": cmd_rcgraphs,
-    "chains": cmd_chains,
-    "verify": cmd_verify,
-}
-
-
 def main(argv: Iterable[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
     try:
         if args.n is not None and args.n < 1:
             raise ValueError("--n must be at least 1")
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

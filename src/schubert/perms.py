@@ -93,10 +93,7 @@ def longest(n: int) -> Perm:
     >>> longest(4)
     (4, 3, 2, 1)
     """
-    n = _as_int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return tuple(range(n, 0, -1))
+    return identity(n)[::-1]
 
 
 def length(w: Sequence[int]) -> int:
@@ -106,8 +103,7 @@ def length(w: Sequence[int]) -> int:
     >>> length((2, 1, 5, 4, 6, 3))
     5
     """
-    w = _perm_of(w)
-    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+    return sum(code(w))
 
 
 def inverse(w: Perm) -> Perm:

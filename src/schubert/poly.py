@@ -86,14 +86,6 @@ class Poly:
         return p
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls({(): 1})
-
-    @classmethod
     def constant(cls, c: int) -> "Poly":
         return cls({(): c})
 
@@ -124,9 +116,6 @@ class Poly:
     def nvars(self) -> int:
         """Smallest k with all monomials in x_1..x_k."""
         return max((len(m) for m in self._terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def coefficient_sum(self) -> int:
         """Evaluation at x_1 = x_2 = ... = 1."""
@@ -187,7 +176,7 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if (k := _as_int(k)) < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = Poly.one()
+        out = Poly.constant(1)
         base = self
         while k:
             if k & 1:
@@ -257,7 +246,7 @@ def h_alpha(alpha: Iterable[int], n: int) -> Poly:
     parts and satisfy alpha_i <= n - i.
     """
     alpha = check_composition(alpha, n)
-    out = Poly.one()
+    out = Poly.constant(1)
     for i, a in enumerate(alpha):
         if a:
             out = out * complete_h(a, i + 1)
@@ -325,7 +314,7 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*?)?((?:x\d+(?:\^\d+)?(?:\*x\d+(?:\^\d+)?)*))?
 
 def poly_to_text(p: Poly) -> str:
     """Render like "x1^2*x2 + x1*x2^2", terms ascending in the pinned order."""
-    if p.is_zero():
+    if not p:
         return "0"
     parts = []
     for m, c in p.sorted_terms():
@@ -352,7 +341,7 @@ def poly_from_text(s: str) -> Poly:
     """Parse the textual form emitted by :func:`poly_to_text`."""
     s = s.strip()
     if s == "0":
-        return Poly.zero()
+        return Poly()
     chunks = re.split(r"\s*([+-])\s*", s)
     chunks = chunks[1:] if chunks[0] == "" else ["+"] + chunks
     if not chunks or len(chunks) % 2:  # empty text is not 0

@@ -100,10 +100,7 @@ def chain_of_rcgraph(graph: RcGraph) -> LabeledChain:
     perms = [perm_of(graph)]
     for cell in missing:
         cells.add(cell)
-        nxt = perm_of(RcGraph(graph.n, cells))
-        if length(nxt) != length(perms[-1]) + 1:
-            raise ValueError("greedy insertion failed to climb a cover")
-        perms.append(nxt)
+        perms.append(perm_of(RcGraph(graph.n, cells)))
     return LabeledChain(tuple(perms), tuple(missing))
 
 

@@ -85,7 +85,7 @@ def test_criterion_06_construction_equivalence_and_normal_forms():
             assert normal_form(s, n) == s
     for n in range(1, 8):
         for i in range(1, n + 1):
-            assert normal_form(elementary(i, n), n) == Poly.zero()
+            assert normal_form(elementary(i, n), n) == Poly()
     report(6, "rcgraph == chain on S_5; normal_form fixes S_w; e_i reduce to 0")
 
 

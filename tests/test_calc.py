@@ -61,7 +61,7 @@ x1, x2 = Poly.variable(1), Poly.variable(2)
 def test_golden_values():
     assert schubert((1, 3, 2, 4), 4) == x1 + x2
     assert schubert((2, 4, 1, 3), 4) == x1 ** 2 * x2 + x1 * x2 ** 2
-    assert schubert(identity(4), 4) == Poly.one()
+    assert schubert(identity(4), 4) == Poly.constant(1)
     assert schubert(longest(4), 4) == Poly.monomial((3, 2, 1))
 
 
@@ -223,7 +223,7 @@ def _signed_monk(w, i):
 
 
 def _monk_sum(w, i, n):
-    return sum((schubert(v, n) * s for v, s in _signed_monk(w, i)), Poly.zero())
+    return sum((schubert(v, n) * s for v, s in _signed_monk(w, i)), Poly())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -260,7 +260,7 @@ def test_expansion_reconstructs_input():
     max_size=4,
 ))
 def test_expansion_soundness_random_combinations(coeffs):
-    combo = Poly.zero()
+    combo = Poly()
     for w, c in coeffs.items():
         combo = combo + schubert(w, 4) * c
     e = expand_in_schubert_basis(combo, 4)
@@ -275,7 +275,7 @@ def test_expansion_soundness_seeded_s5():
         for _ in range(4):
             w = rng.choice(perms)
             coeffs[w] = coeffs.get(w, 0) + rng.randint(1, 3)
-        combo = Poly.zero()
+        combo = Poly()
         for w, c in coeffs.items():
             combo = combo + schubert(w, 5) * c
         assert expand_in_schubert_basis(combo, 5).terms == coeffs
@@ -336,7 +336,7 @@ def test_lr_vanishing_test_matches_full_route(n, unordered, zeros, pairs):
     for u, v in cases:
         shortcut = not bruhat_leq(u, compose(w0, v))
         full = normal_form(schubert(u, n) * schubert(v, n), n)
-        assert shortcut == full.is_zero(), (u, v)
+        assert shortcut == (not full), (u, v)
         walked = lr_coefficients(u, v, n)
         assert shortcut == (len(walked) == 0), (u, v)
         assert walked == expand_in_schubert_basis(full, n), (u, v)

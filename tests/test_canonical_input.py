@@ -57,6 +57,7 @@ ENTRIES = {
     "skew_expansion": lambda u, w: skew_expansion(w, u, 3),
     "verify_corollary": lambda u, w: verify_corollary(u, w, (1, 0)),
     "SchubertExpansion": lambda u, w: SchubertExpansion(3, {tuple(u): 2, tuple(w): 1}),
+    "SchubertExpansion.__getitem__": lambda u, w: SchubertExpansion(3, {(1, 3, 2): 2})[u],
     "bruhat_leq": lambda u, w: bruhat_leq(u, w),
     "increasing_chains": lambda u, w: list(increasing_chains(u, w)),
     "increasing_chains_to_w0": lambda u, w: list(increasing_chains_to_w0(u)),

@@ -18,14 +18,12 @@ from schubert.chains import (
     search_toward,
     type_counts,
 )
-from schubert.perms import (_covers_below, _sorted_edges, all_perms, bruhat_covers,
-                            labeled_edges, length, longest)
+from schubert.perms import all_perms, bruhat_covers, labeled_edges, length, longest
 
 from oracles import (
     brute_force_chains,
     brute_force_rcgraphs,
     brute_force_type_counts,
-    bruhat_leq_by_sorted_prefixes,
     chain_type,
     labeled_covers_by_sort,
 )
@@ -183,47 +181,6 @@ def test_interval_searches_match_the_walk_on_random_climbs(data):
     types, chains = oracle_ends(u, length(w)).get(w, (Counter(), []))
     assert type_counts(u, w) == types
     assert list(increasing_chains(u, w)) == chains
-
-
-def covers_toward_by_oracle(p, w):
-    return [(lab, v) for lab, v in labeled_covers_by_sort(p) if bruhat_leq_by_sorted_prefixes(v, w)]
-
-
-def check_covers_toward(p, w):
-    """
-    The search sums over the labels (k, p(i)), i <= k < j, of the covers
-    (i, j, v) that perms._covers_below keeps, in any order; the walk sorts
-    them by perms._sorted_edges.  The first must be the filtered oracle as a
-    multiset, the second must be it in its sorted order.
-    """
-    covers = _covers_below(p, w)
-    want = covers_toward_by_oracle(p, w)
-    assert Counter(((k, p[i - 1]), v) for i, j, v in covers for k in range(i, j)) == Counter(want)
-    assert _sorted_edges(p, covers) == want
-
-
-def test_covers_toward_match_the_filtered_oracle_on_s4():
-    # every ordered pair, p not below w included
-    s4 = list(all_perms(4))
-    for p in s4:
-        for w in s4:
-            check_covers_toward(p, w)
-
-
-@settings(deadline=None)
-@given(st.data())
-def test_covers_toward_match_the_filtered_oracle(data):
-    n = data.draw(st.integers(min_value=5, max_value=8))
-    p = w = tuple(data.draw(st.permutations(range(1, n + 1))))
-    if data.draw(st.booleans()):
-        w = tuple(data.draw(st.permutations(range(1, n + 1))))
-    else:  # a climb from p, so that w is above p and some covers are kept
-        for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
-            edges = labeled_covers_by_sort(w)
-            if not edges:
-                break
-            w = data.draw(st.sampled_from(edges))[1]
-    check_covers_toward(p, w)
 
 
 def test_type_partition_of_total():

@@ -37,14 +37,14 @@ small_polys = polys_in(4)
 
 def test_monomials_trim_trailing_zeros():
     assert Poly.monomial((1, 0, 0)) == Poly.monomial((1,))
-    assert Poly.monomial((0, 0)) == Poly.one()
-    assert Poly.monomial((1, 2), 0) == Poly.zero()
+    assert Poly.monomial((0, 0)) == Poly.constant(1)
+    assert Poly.monomial((1, 2), 0) == Poly()
 
 
 def test_constants_hash_like_ints():
     assert hash(Poly.constant(5)) == hash(5)
-    assert hash(Poly.zero()) == hash(0)
-    assert hash(Poly.one()) == hash(1)
+    assert hash(Poly()) == hash(0)
+    assert hash(Poly.constant(1)) == hash(1)
     assert len({Poly.constant(-3), -3, Poly.monomial((), -3)}) == 1
     assert hash(x1 + 1) == hash(Poly({(1,): 1, (): 1}))
 
@@ -52,7 +52,7 @@ def test_constants_hash_like_ints():
 def test_basic_arithmetic():
     assert (x1 + x2) * (x1 * x2) == x1 ** 2 * x2 + x1 * x2 ** 2
     p = 3 * x1 * x2 - x3 ** 2 + 7
-    assert p + (-p) == Poly.zero()
+    assert p + (-p) == Poly()
     assert p - p == 0
     assert (x1 + 1) * (x1 - 1) == x1 ** 2 - 1
 
@@ -79,7 +79,7 @@ def test_coefficient():
     assert p.coefficient((1,)) == 1
     assert p.coefficient((0, 1)) == 1
     assert p.coefficient((2,)) == 0
-    assert Poly.one().coefficient(()) == 1
+    assert Poly.constant(1).coefficient(()) == 1
 
 
 def test_elementary():
@@ -96,7 +96,7 @@ def test_elementary():
 
 def test_complete_h():
     assert complete_h(2, 2) == x1 ** 2 + x1 * x2 + x2 ** 2
-    assert complete_h(0, 3) == Poly.one()
+    assert complete_h(0, 3) == Poly.constant(1)
     # C(a + k - 1, a) monomials
     assert len(complete_h(3, 3)) == 10
     with pytest.raises(ValueError, match="a >= 0"):
@@ -121,7 +121,7 @@ def test_reduction_basis_rewrites_each_lead_by_the_tail_of_h(n):
 
 def test_h_alpha():
     assert h_alpha((1, 0, 0), 4) == x1
-    assert h_alpha((0, 0, 0), 4) == Poly.one()
+    assert h_alpha((0, 0, 0), 4) == Poly.constant(1)
     assert h_alpha((1, 1), 3) == x1 ** 2 + x1 * x2
     h_alpha((3, 2, 1), 4)  # full staircase is allowed
     with pytest.raises(ValueError):
@@ -146,8 +146,8 @@ def test_monomial_key_orders_from_top_variable():
 
 def test_normal_form_forced_values():
     assert normal_form(Poly.variable(2), 2) == -x1
-    assert normal_form(x1 ** 2, 2) == Poly.zero()
-    assert normal_form(Poly.one(), 5) == Poly.one()
+    assert normal_form(x1 ** 2, 2) == Poly()
+    assert normal_form(Poly.constant(1), 5) == Poly.constant(1)
     with pytest.raises(ValueError, match="more than 1 variables"):
         normal_form(x2, 1)
 
@@ -155,7 +155,7 @@ def test_normal_form_forced_values():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_normal_form_kills_elementaries(n):
     for i in range(1, n + 1):
-        assert normal_form(elementary(i, n), n) == Poly.zero()
+        assert normal_form(elementary(i, n), n) == Poly()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -230,8 +230,8 @@ def test_text_round_trip():
     p = x1 ** 2 * x2 + x1 * x2 ** 2
     assert poly_to_text(p) == "x1^2*x2 + x1*x2^2"
     assert poly_from_text("x1^2*x2 + x1*x2^2") == p
-    assert poly_to_text(Poly.zero()) == "0"
-    assert poly_from_text("0") == Poly.zero()
+    assert poly_to_text(Poly()) == "0"
+    assert poly_from_text("0") == Poly()
     for text in ("", "   ", "\n"):  # zero is written 0
         with pytest.raises(ValueError, match="malformed polynomial text"):
             poly_from_text(text)
@@ -269,7 +269,7 @@ def test_parsers_merge_duplicate_cancelling_and_untrimmed_terms():
            {"exp": [], "coef": 0}]
     assert poly_from_json_obj(obj) == 5 * x2
     assert poly_from_json_obj([{"exp": [1], "coef": 1},
-                               {"exp": [1, 0], "coef": -1}]) == Poly.zero()
+                               {"exp": [1, 0], "coef": -1}]) == Poly()
     with pytest.raises(ValueError):
         poly_from_json_obj([{"exp": [-1], "coef": 1}, {"exp": [-1], "coef": -1}])
 
