@@ -15,13 +15,14 @@ The LR coefficients and the Schubert expansion take no normal form.  They
 multiply by Monk's rule (:func:`perms.monk`, the a = 1 case of the Pieri
 rule): x_i * S_w is a signed sum over Bruhat covers, so S_u * S_v is found
 by applying x_1, x_2, ... to S_u along the monomials of S_v, each shared
-prefix once (:func:`_walk`).  The ``lr`` and ``normalform`` routes thus
-share no code, and all three agree exactly; the test suite exercises that
-on full symmetric groups.
+prefix once (:func:`_walk`, on states keyed by an int id per permutation).
+The ``lr`` and ``normalform`` routes thus share no code, and all three
+agree exactly; the test suite exercises that on full symmetric groups.
 """
 
 from __future__ import annotations
 
+from _thread import allocate_lock
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -165,7 +166,29 @@ def _check_below(u: Perm, w: Perm) -> None:
         )
 
 
-_monk_step = lru_cache(maxsize=8192)(monk)
+# The Monk table of S_n, (ids, perms, rows), empty until walks fill it: ids[perms[w]] == w,
+# and rows[w][i] is None or Monk's rule x_i * S_w as ids (:func:`_fill`).
+_monk_table = lru_cache(maxsize=16)(lambda n: ({}, [], []))
+_TABLE_BOUND = 8192  # permutations in one Monk table: all of S_7 fits
+_table_lock = allocate_lock()
+
+
+def _id(table: tuple, w: Perm) -> int:
+    """The id of w in table; a new one is added under the lock, its row first."""
+    ids, perms, rows = table
+    if (k := ids.get(w)) is None:
+        with _table_lock:
+            if (k := ids.get(w)) is None:
+                perms.append(w)
+                rows.append([None] * (len(w) + 1))
+                k = ids[w] = len(perms) - 1
+    return k
+
+
+def _fill(table: tuple, w: int, i: int) -> tuple[list[int], ...]:
+    """rows[w][i]: Monk's rule x_i * S_w (:func:`perms.monk`), (plus, minus) as ids."""
+    step = table[2][w][i] = tuple([_id(table, v) for v in vs] for vs in monk(table[1][w], i))
+    return step
 
 
 def _trie_of(terms: Iterator[tuple[tuple[int, ...], int]]) -> tuple:
@@ -203,17 +226,23 @@ def _walk(trie: tuple, start: Perm, n: int) -> SchubertExpansion:
     this trie: Monk steps walk down the trie, so a prefix x_1^{a_1} ...
     x_i^{a_i} shared by several monomials of p is applied once, and each
     leaf c * x^m adds c times its state.  Cancelled terms stay as zeros
-    until the end.
+    until the end.  States are keyed by ids in the Monk table of S_n, so a
+    step is a row read; a table past _TABLE_BOUND permutations is dropped
+    first, and walks that hold it finish on it.
     """
-    states: list[dict[Perm, int]] = [{start: 1}] * n
-    out: dict[Perm, int] = {}
+    if len((table := _monk_table(n))[1]) > _TABLE_BOUND:
+        _monk_table.cache_clear()
+        table = _monk_table(n)
+    perms, rows = table[1:]
+    states: list[dict[int, int]] = [{_id(table, start): 1}] * n
+    out: dict[int, int] = {}
     for k, steps, c in trie:
         s = states[k]
         for i in steps:
-            t: dict[Perm, int] = {}
+            t: dict[int, int] = {}
             for w, a in s.items():
                 if a:
-                    up, down = _monk_step(w, i)
+                    up, down = rows[w][i] or _fill(table, w, i)
                     for v in up:
                         t[v] = t.get(v, 0) + a
                     for v in down:
@@ -221,7 +250,7 @@ def _walk(trie: tuple, start: Perm, n: int) -> SchubertExpansion:
             s = states[i] = t
         for w, a in s.items():
             out[w] = out.get(w, 0) + c * a
-    return SchubertExpansion._of(n, {w: c for w, c in out.items() if c})
+    return SchubertExpansion._of(n, {perms[w]: c for w, c in out.items() if c})
 
 
 def expand_in_schubert_basis(p: Poly, n: int) -> SchubertExpansion:

@@ -38,6 +38,15 @@ def reading_order(cells: Iterable[Label]) -> list[Label]:
     return sorted(cells, key=lambda kb: (kb[0], -kb[1]))
 
 
+def _cell(cell) -> Label:
+    """cell read as a pair of ints, each like n (:func:`perms._as_int`), or ValueError."""
+    try:
+        k, b = cell
+    except (TypeError, ValueError):
+        raise ValueError(f"not a cell (k, b): {cell!r}") from None
+    return _as_int(k), _as_int(b)
+
+
 @dataclass(frozen=True)
 class RcGraph:
     """A set of staircase crossings in ambient size n."""
@@ -47,7 +56,7 @@ class RcGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _as_int(self.n))
-        object.__setattr__(self, "crossings", frozenset(self.crossings))
+        object.__setattr__(self, "crossings", frozenset(map(_cell, self.crossings)))
         for k, b in self.crossings:
             if k < 1 or b < 1 or k + b > self.n:
                 raise ValueError(

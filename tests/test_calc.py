@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+import threading
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from itertools import product
@@ -93,7 +95,8 @@ def test_unknown_method_rejected():
 def test_caches_are_bounded_and_hit():
     assert calc._schubert.cache_info().maxsize == 4096
     assert calc._trie.cache_info().maxsize == 4096
-    assert calc._monk_step.cache_info().maxsize == 8192
+    assert calc._monk_table.cache_info().maxsize == 16
+    assert calc._TABLE_BOUND == 8192
     assert calc._w0_times.cache_info().maxsize == 4096
     assert _ranks.cache_info().maxsize == 8192
     assert _below.cache_info().maxsize == 4096
@@ -109,15 +112,65 @@ def test_caches_are_bounded_and_hit():
     normal_form(first, 4)
     assert poly._reduction_basis.cache_info().hits == before + 1
     lr_coefficients((2, 1, 3), (1, 3, 2), 3)
-    caches = (_perm, _below, calc._trie, calc._monk_step)
+    ids, perms, rows = calc._monk_table(3)
+    filled = [list(row) for row in rows]
+    caches = (_perm, _below, calc._trie, calc._monk_table)
     before = [f.cache_info().hits for f in caches]
     lr_coefficients([2, 1, 3], [1, 3, 2], 3)
-    # S_213 = x1 has fewer terms than S_132: one Monk step, x1 * S_132
+    # S_213 = x1 has fewer terms than S_132: one Monk step, x1 * S_132, read from
+    # the row of 132 in the table the walk takes once; no row is filled, no id added
     assert [f.cache_info().hits - h for f, h in zip(caches, before)] == [2, 1, 2, 1]
+    assert rows[ids[(1, 3, 2)]][1] is not None
+    assert calc._monk_table(3)[2] is rows and [list(row) for row in rows] == filled
+    assert len(perms) == len(ids) == len(rows)
     type_counts((1, 2, 3), (3, 2, 1))  # the chain search reads the S_3 swap tables per node
     before = _swap_tables.cache_info().hits
     type_counts((1, 2, 3), (3, 2, 1))
     assert _swap_tables.cache_info().hits > before
+
+
+def test_monk_table_past_its_bound_is_replaced(monkeypatch):
+    pairs = list(product(all_perms(4), repeat=2))
+    calc._monk_table.cache_clear()
+    expected = [lr_coefficients(u, v, 4) for u, v in pairs]
+    monkeypatch.setattr(calc, "_TABLE_BOUND", 5)
+    calc._monk_table.cache_clear()
+    replaced = 0
+    for (u, v), e in zip(pairs, expected):
+        table = calc._monk_table(4)
+        past = len(table[1]) > 5
+        assert lr_coefficients(u, v, 4) == e, (u, v)
+        if e.terms:  # the product did not vanish: it walked, on a fresh table if past
+            assert (calc._monk_table(4) is not table) == past, (u, v)
+            replaced += past
+    assert replaced > 10
+
+
+def test_threads_share_the_monk_table():
+    pairs = list(product(all_perms(5), repeat=2))
+    expected = [lr_coefficients(u, v, 5) for u, v in pairs]
+    calc._monk_table.cache_clear()
+    starts = range(0, len(pairs), len(pairs) // 4)  # a quarter apart, so they add ids at once
+    got = {}
+
+    def run(s):
+        got[s] = [lr_coefficients(u, v, 5) for u, v in pairs[s:] + pairs[:s]]
+
+    threads = [threading.Thread(target=run, args=(s,)) for s in starts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for s in starts:
+        assert got[s] == expected[s:] + expected[:s], s
+    ids, perms, rows = calc._monk_table(5)
+    assert len(perms) == len(ids) == len(rows) and all(ids[w] == k for k, w in enumerate(perms))
 
 
 # --- skew polynomials -------------------------------------------------------

@@ -72,6 +72,8 @@ ENTRIES = {
     "perm_to_str": lambda u, w: perm_to_str(u),
     "chain_from_json_obj": lambda u, w: chain_from_json_obj(  # 123 -> 132
         {"start": "123", "steps": [[2, 2]]}, end=u),
+    # the cell (u(1), u(3)) = (1, 2) in u's entry form; embed rejects what is no permutation
+    "RcGraph": lambda u, w: sorted(RcGraph(len(embed(u, 3)), {(u[0], u[2])}).crossings),
 }
 
 FORMS = {
@@ -157,6 +159,8 @@ def test_degrees_equal_to_ints_are_those_ints():
     assert SchubertExpansion(3, {(1, 2, 3): 1, range(1, 4): -1}).terms == {}
     x = Poly.variable(1)
     assert x ** 2.0 == x ** 2 and x ** True == x
+    g = RcGraph(3, {(1.0, True), (True, 2.0), (1, 1)})
+    assert g == RcGraph(3, {(1, 1), (1, 2)}) and all(type(a) is int for c in g.crossings for a in c)
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.5, "1", None, float("nan"), float("inf"), [1]])
@@ -191,6 +195,9 @@ def test_degrees_not_equal_to_an_int_raise(bad):
         SchubertExpansion(3, {(1, 2, 3): bad})
     with pytest.raises(ValueError):
         Poly.variable(1) ** bad
+    for cell in ((bad, 1), (1, bad), bad):  # in a list, as a cell may be unhashable
+        with pytest.raises(ValueError):  # bad alone is no pair (k, b)
+            RcGraph(3, [cell])
 
 
 # each entry called with the ambient size n alone varying
