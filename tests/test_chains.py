@@ -1,11 +1,14 @@
 import json
 import random
 import re
+import sys
+import threading
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schubert import chains
 from schubert.chains import (
     LabeledChain,
     chain_from_json_obj,
@@ -112,6 +115,46 @@ def test_specialized_equals_generic(n):
         generic = {c.labels for c in increasing_chains(w, w0)}
         assert special == generic, w
         assert len(special) == sum(1 for _ in increasing_chains_to_w0(w))
+
+
+def test_to_w0_chains_match_the_oracle_cold_and_warm():
+    # a node's covers u*(k,l) come by increasing l, so by decreasing u(l): the
+    # tree yields its chains in decreasing order of their perms
+    expected = {}
+    for n in range(1, 6):
+        w0, top = longest(n), n * (n - 1) // 2
+        for w in all_perms(n):
+            ends_at_w0 = [(p, lab) for p, lab in brute_force_chains(w, top) if p[-1] == w0]
+            expected[w] = sorted(ends_at_w0, reverse=True)
+    chains._branch.cache_clear()
+    for warm in (False, True):
+        for w, chains_to_w0 in expected.items():
+            got = [(c.perms, c.labels) for c in increasing_chains_to_w0(w)]
+            assert got == chains_to_w0, (w, warm)
+
+
+def test_threads_share_the_branch_cache():
+    ws = list(all_perms(6))
+
+    def enumerate_all():
+        return [[(c.perms, c.labels) for c in increasing_chains_to_w0(w)] for w in ws]
+
+    expected = enumerate_all()
+    chains._branch.cache_clear()
+    got = {}
+    threads = [threading.Thread(target=lambda i=i: got.setdefault(i, enumerate_all()))
+               for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [got.get(i) == expected for i in range(4)] == [True] * 4
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
